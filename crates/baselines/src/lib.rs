@@ -16,8 +16,10 @@
 //!
 //! The supporting [`range_tree`] module contains the augmented balanced
 //! interval tree used by the tree-based locks (the kernel's "range tree").
-//! All locks implement the [`range_lock::RangeLock`] /
-//! [`range_lock::RwRangeLock`] traits so they can be swapped freely in the VM
+//! All locks — and the `mmap_sem`-style [`WholeSpaceSem`] (`stock`) —
+//! implement the [`range_lock::RwRangeLock`] and
+//! [`range_lock::TwoPhaseRwRangeLock`] traits (the exclusive tree lock with
+//! reads that are exclusive too) so they can be swapped freely in the VM
 //! simulator, the skip list and the benchmark harness; the [`registry`]
 //! module additionally enumerates all five paper variants (these three
 //! baselines plus `list-ex` / `list-rw`) by name for runtime, dynamic-dispatch

@@ -6,35 +6,39 @@
 //! registry existed every driver that swept "all variants" (ArrBench,
 //! FileBench, the test suites) hand-rolled its own `enum AnyLock { … }` with
 //! five-way `match`es on every operation. The registry replaces those with
-//! one table built on the object-safe [`DynRwRangeLock`] layer of the core
-//! crate:
+//! one table built on the object-safe [`DynTwoPhaseRwRangeLock`] layer of the
+//! core crate:
 //!
 //! * every variant is exposed through the **reader-writer** interface; the
-//!   exclusive-only locks (`list-ex`, `lustre-ex`) are wrapped in
-//!   [`ExclusiveAsRw`], which serializes readers — exactly the cost the
-//!   paper's reader-writer variants exist to remove, and exactly how the
-//!   FileBench sweep has always driven them;
-//! * construction is **wait-policy aware**: [`VariantSpec::build`] takes a
-//!   [`WaitPolicyKind`] and instantiates the lock with the corresponding
-//!   compile-time policy (`Spin` / `SpinThenYield` / `Block`);
+//!   exclusive-only locks (`list-ex`, `lustre-ex`) implement it with reads
+//!   that are exclusive too, so their readers serialize — exactly the cost
+//!   the paper's reader-writer variants exist to remove;
+//! * every variant comes back as one form, `Box<dyn DynTwoPhaseRwRangeLock>`,
+//!   which carries the blocking, `try_`, two-phase, timed, batched and async
+//!   acquisition surfaces;
+//! * construction is **wait-policy aware**: [`VariantSpec::build_twophase`]
+//!   takes a [`WaitPolicyKind`] and instantiates the lock with the
+//!   corresponding compile-time policy (`Spin` / `SpinThenYield` / `Block`);
+//!   [`VariantSpec::build_with_stats`] additionally attaches wait statistics;
 //! * the segment lock's static partitioning is supplied through
 //!   [`RegistryConfig`] (span + segment count); the list and tree locks
 //!   ignore it.
 //!
-//! A boxed registry lock implements [`range_lock::RwRangeLock`] itself (see
-//! `range_lock::dynlock`), so it plugs into every generic subsystem — the
-//! file store, the lock table, the benchmark drivers — unchanged.
+//! A boxed registry lock implements [`range_lock::RwRangeLock`] and
+//! [`range_lock::TwoPhaseRwRangeLock`] itself (see `range_lock::dynlock`),
+//! so it plugs into every generic subsystem — the file store, the lock
+//! table, the benchmark drivers — unchanged.
 //!
 //! # Examples
 //!
 //! ```
-//! use range_lock::Range;
+//! use range_lock::{Range, RwRangeLock};
 //! use rl_baselines::registry::{self, RegistryConfig};
 //! use rl_sync::wait::WaitPolicyKind;
 //!
 //! for spec in registry::all() {
-//!     let lock = spec.build(WaitPolicyKind::SpinThenYield, &RegistryConfig::default());
-//!     let guard = lock.write_dyn(Range::new(0, 100));
+//!     let lock = spec.build_twophase(WaitPolicyKind::SpinThenYield, &RegistryConfig::default());
+//!     let guard = lock.write(Range::new(0, 100));
 //!     drop(guard);
 //! }
 //! let list_rw = registry::by_name("list-rw").expect("paper variant");
@@ -43,10 +47,7 @@
 
 use std::sync::Arc;
 
-use range_lock::{
-    DynAsyncRwRangeLock, DynRwRangeLock, DynTwoPhaseRwRangeLock, ExclusiveAsRw, ListRangeLock,
-    RwListRangeLock,
-};
+use range_lock::{DynTwoPhaseRwRangeLock, ListRangeLock, RwListRangeLock};
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::{Block, Spin, SpinThenYield, WaitPolicyKind};
 
@@ -115,14 +116,23 @@ macro_rules! per_policy {
     };
 }
 
-/// Constructor shape of [`VariantSpec::build_with_stats`]: wait policy,
-/// config, acquisition [`WaitStats`], optional internal-spin-lock stats.
-type StatsCtor = fn(
+/// Attaches the acquisition [`WaitStats`] sink to `lock` when one was asked
+/// for.
+fn attach<L>(lock: L, stats: Option<Arc<WaitStats>>, with_stats: fn(L, Arc<WaitStats>) -> L) -> L {
+    match stats {
+        Some(stats) => with_stats(lock, stats),
+        None => lock,
+    }
+}
+
+/// Constructor shape of every registry row: wait policy, config, optional
+/// acquisition [`WaitStats`], optional internal-spin-lock stats.
+type Ctor = fn(
     WaitPolicyKind,
     &RegistryConfig,
-    Arc<WaitStats>,
     Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock>;
+    Option<Arc<WaitStats>>,
+) -> Box<dyn DynTwoPhaseRwRangeLock>;
 
 /// One registry entry: a paper variant's stable name, its sharing semantics,
 /// and its constructor.
@@ -130,31 +140,33 @@ pub struct VariantSpec {
     /// Stable name matching the paper's figure legends (`"list-rw"`, …).
     pub name: &'static str,
     /// `true` if overlapping readers share under this variant; `false` for
-    /// the exclusive locks, whose "readers" serialize through
-    /// [`ExclusiveAsRw`].
+    /// the exclusive locks, whose "readers" serialize.
     pub readers_share: bool,
     /// `true` if the variant guards its internal metadata with a spin lock
     /// whose wait time the paper reports separately (Figure 8: the tree-based
     /// locks). Callers that want that breakdown pass a second [`WaitStats`]
     /// to [`VariantSpec::build_with_stats`]; the other variants ignore it.
     pub internal_spinlock: bool,
-    ctor: fn(WaitPolicyKind, &RegistryConfig) -> Box<dyn DynRwRangeLock>,
-    stats_ctor: StatsCtor,
-    async_ctor: fn(WaitPolicyKind, &RegistryConfig) -> Box<dyn DynAsyncRwRangeLock>,
-    twophase_ctor: fn(WaitPolicyKind, &RegistryConfig) -> Box<dyn DynTwoPhaseRwRangeLock>,
+    ctor: Ctor,
 }
 
 impl VariantSpec {
     /// Constructs this variant waiting through `wait`, configured by `config`
     /// (only `pnova-rw` reads it).
-    pub fn build(&self, wait: WaitPolicyKind, config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-        (self.ctor)(wait, config)
-    }
-
-    /// Constructs this variant with the default wait policy
-    /// ([`SpinThenYield`], the paper's `Pause()` loop) and default config.
-    pub fn build_default(&self) -> Box<dyn DynRwRangeLock> {
-        self.build(WaitPolicyKind::SpinThenYield, &RegistryConfig::default())
+    ///
+    /// The returned lock exposes the whole acquisition surface: blocking and
+    /// `try_` through `RwRangeLock`, and — since
+    /// `Box<dyn DynTwoPhaseRwRangeLock>` implements `TwoPhaseRwRangeLock`
+    /// itself — the enqueue/poll/cancel protocol, the timed, async and
+    /// batched acquisitions, and the `rl-file` lock table's deadlock-checked
+    /// paths. `wait` only governs how *sync* waiters wait; async waiters
+    /// always suspend on wakers.
+    pub fn build_twophase(
+        &self,
+        wait: WaitPolicyKind,
+        config: &RegistryConfig,
+    ) -> Box<dyn DynTwoPhaseRwRangeLock> {
+        (self.ctor)(wait, config, None, None)
     }
 
     /// Constructs this variant reporting acquisition wait times into `stats`.
@@ -170,48 +182,8 @@ impl VariantSpec {
         config: &RegistryConfig,
         stats: Arc<WaitStats>,
         spin_stats: Option<Arc<WaitStats>>,
-    ) -> Box<dyn DynRwRangeLock> {
-        (self.stats_ctor)(wait, config, stats, spin_stats)
-    }
-
-    /// Constructs this variant behind the **async-capable** dynamic
-    /// interface: the returned lock is awaited through
-    /// [`DynAsyncRwRangeLock::read_async_dyn`] /
-    /// [`DynAsyncRwRangeLock::write_async_dyn`] and still exposes the whole
-    /// sync surface (its supertrait, plus `RwRangeLock` for the boxed form).
-    /// `wait` only governs how *sync* waiters of the same lock wait; async
-    /// waiters always suspend on wakers.
-    pub fn build_async(
-        &self,
-        wait: WaitPolicyKind,
-        config: &RegistryConfig,
-    ) -> Box<dyn DynAsyncRwRangeLock> {
-        (self.async_ctor)(wait, config)
-    }
-
-    /// [`VariantSpec::build_async`] with the default wait policy and config.
-    pub fn build_async_default(&self) -> Box<dyn DynAsyncRwRangeLock> {
-        self.build_async(WaitPolicyKind::SpinThenYield, &RegistryConfig::default())
-    }
-
-    /// Constructs this variant behind the **two-phase-capable** dynamic
-    /// interface: the returned lock exposes the whole enqueue/poll/cancel
-    /// protocol (and, since `Box<dyn DynTwoPhaseRwRangeLock>` implements
-    /// `TwoPhaseRwRangeLock` itself, the timed, async, and batched
-    /// acquisition surfaces and the `rl-file` lock table's deadlock-checked
-    /// paths) on a variant chosen by name at runtime.
-    pub fn build_twophase(
-        &self,
-        wait: WaitPolicyKind,
-        config: &RegistryConfig,
     ) -> Box<dyn DynTwoPhaseRwRangeLock> {
-        (self.twophase_ctor)(wait, config)
-    }
-
-    /// [`VariantSpec::build_twophase`] with the default wait policy and
-    /// config.
-    pub fn build_twophase_default(&self) -> Box<dyn DynTwoPhaseRwRangeLock> {
-        self.build_twophase(WaitPolicyKind::SpinThenYield, &RegistryConfig::default())
+        (self.ctor)(wait, config, Some(stats), spin_stats)
     }
 }
 
@@ -224,151 +196,61 @@ impl std::fmt::Debug for VariantSpec {
     }
 }
 
-fn build_list_ex(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy()))
-}
-
-fn build_list_rw(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy())
-}
-
-fn build_lustre_ex(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(TreeRangeLock::<P>::with_policy()))
-}
-
-fn build_kernel_rw(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => RwTreeRangeLock::<P>::with_policy())
-}
-
-fn build_pnova_rw(wait: WaitPolicyKind, config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config))
-}
-
-fn build_list_ex_stats(
+fn build_list_ex(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy().with_stats(stats)))
+) -> Box<dyn DynTwoPhaseRwRangeLock> {
+    per_policy!(wait, P => attach(ListRangeLock::<P>::with_policy(), stats, ListRangeLock::with_stats))
 }
 
-fn build_list_rw_stats(
+fn build_list_rw(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy().with_stats(stats))
+) -> Box<dyn DynTwoPhaseRwRangeLock> {
+    per_policy!(wait, P => attach(RwListRangeLock::<P>::with_policy(), stats, RwListRangeLock::with_stats))
 }
 
-fn build_lustre_ex_stats(
+fn build_lustre_ex(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
+) -> Box<dyn DynTwoPhaseRwRangeLock> {
     per_policy!(wait, P => {
         let lock = match spin {
             Some(s) => TreeRangeLock::<P>::with_policy_spin_stats(s),
             None => TreeRangeLock::<P>::with_policy(),
         };
-        ExclusiveAsRw::new(lock.with_stats(stats))
+        attach(lock, stats, TreeRangeLock::with_stats)
     })
 }
 
-fn build_kernel_rw_stats(
+fn build_kernel_rw(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
+) -> Box<dyn DynTwoPhaseRwRangeLock> {
     per_policy!(wait, P => {
         let lock = match spin {
             Some(s) => RwTreeRangeLock::<P>::with_policy_spin_stats(s),
             None => RwTreeRangeLock::<P>::with_policy(),
         };
-        lock.with_stats(stats)
+        attach(lock, stats, RwTreeRangeLock::with_stats)
     })
 }
 
-fn build_pnova_rw_stats(
+fn build_pnova_rw(
     wait: WaitPolicyKind,
     config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config).with_stats(stats))
-}
-
-fn build_list_ex_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy()))
-}
-
-fn build_list_rw_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy())
-}
-
-fn build_lustre_ex_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(TreeRangeLock::<P>::with_policy()))
-}
-
-fn build_kernel_rw_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => RwTreeRangeLock::<P>::with_policy())
-}
-
-fn build_pnova_rw_async(
-    wait: WaitPolicyKind,
-    config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config))
-}
-
-fn build_list_ex_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
 ) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy()))
-}
-
-fn build_list_rw_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy())
-}
-
-fn build_lustre_ex_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(TreeRangeLock::<P>::with_policy()))
-}
-
-fn build_kernel_rw_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => RwTreeRangeLock::<P>::with_policy())
-}
-
-fn build_pnova_rw_twophase(
-    wait: WaitPolicyKind,
-    config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config))
+    per_policy!(wait, P => attach(make_segment_lock::<P>(config), stats, SegmentRangeLock::with_stats))
 }
 
 /// The five paper variants, baselines first, in the order the paper's figure
@@ -379,45 +261,30 @@ static ALL: [VariantSpec; 5] = [
         readers_share: false,
         internal_spinlock: true,
         ctor: build_lustre_ex,
-        stats_ctor: build_lustre_ex_stats,
-        async_ctor: build_lustre_ex_async,
-        twophase_ctor: build_lustre_ex_twophase,
     },
     VariantSpec {
         name: "kernel-rw",
         readers_share: true,
         internal_spinlock: true,
         ctor: build_kernel_rw,
-        stats_ctor: build_kernel_rw_stats,
-        async_ctor: build_kernel_rw_async,
-        twophase_ctor: build_kernel_rw_twophase,
     },
     VariantSpec {
         name: "pnova-rw",
         readers_share: true,
         internal_spinlock: false,
         ctor: build_pnova_rw,
-        stats_ctor: build_pnova_rw_stats,
-        async_ctor: build_pnova_rw_async,
-        twophase_ctor: build_pnova_rw_twophase,
     },
     VariantSpec {
         name: "list-ex",
         readers_share: false,
         internal_spinlock: false,
         ctor: build_list_ex,
-        stats_ctor: build_list_ex_stats,
-        async_ctor: build_list_ex_async,
-        twophase_ctor: build_list_ex_twophase,
     },
     VariantSpec {
         name: "list-rw",
         readers_share: true,
         internal_spinlock: false,
         ctor: build_list_rw,
-        stats_ctor: build_list_rw_stats,
-        async_ctor: build_list_rw_async,
-        twophase_ctor: build_list_rw_twophase,
     },
 ];
 
@@ -439,13 +306,16 @@ pub fn by_name(name: &str) -> Option<&'static VariantSpec> {
 
 /// Constructs the `stock` baseline — an `mmap_sem`-style
 /// [`WholeSpaceSem`] that ignores ranges entirely — behind the same dynamic
-/// interface the five range-lock variants use.
+/// interface the five range-lock variants use, two-phase surface included.
 ///
 /// Not a registry row: the paper's figures list it separately because it is
 /// the *status quo* every variant is measured against, and because a
 /// range-ignoring lock would corrupt sweeps that rely on disjoint ranges
 /// being concurrent.
-pub fn build_stock(wait: WaitPolicyKind, stats: Option<Arc<WaitStats>>) -> Box<dyn DynRwRangeLock> {
+pub fn build_stock(
+    wait: WaitPolicyKind,
+    stats: Option<Arc<WaitStats>>,
+) -> Box<dyn DynTwoPhaseRwRangeLock> {
     per_policy!(wait, P => match stats {
         Some(s) => WholeSpaceSem::<P>::with_policy_stats(s),
         None => WholeSpaceSem::<P>::with_policy(),
@@ -455,7 +325,7 @@ pub fn build_stock(wait: WaitPolicyKind, stats: Option<Arc<WaitStats>>) -> Box<d
 #[cfg(test)]
 mod tests {
     use super::*;
-    use range_lock::{Range, RwRangeLock};
+    use range_lock::{BatchMode, Range, RwRangeLock, TwoPhaseRwRangeLock};
 
     #[test]
     fn registry_lists_the_five_paper_variants_in_legend_order() {
@@ -480,36 +350,75 @@ mod tests {
     fn built_names_match_spec_names() {
         for spec in all() {
             for wait in WaitPolicyKind::ALL {
-                let lock = spec.build(wait, &RegistryConfig::default());
+                let lock = spec.build_twophase(wait, &RegistryConfig::default());
                 assert_eq!(lock.dyn_name(), spec.name, "under {}", wait.name());
             }
         }
     }
 
-    #[test]
-    fn every_variant_locks_and_conflicts_through_dyn_dispatch() {
+    /// One row of the surface table: a name, its sharing semantics, and a
+    /// builder.
+    struct Row {
+        name: &'static str,
+        readers_share: bool,
+        /// `false` for `stock`, which conflicts across disjoint ranges.
+        disjoint_independent: bool,
+        build: Box<dyn Fn(WaitPolicyKind) -> Box<dyn DynTwoPhaseRwRangeLock>>,
+    }
+
+    /// The five registry variants plus `stock`.
+    fn rows() -> Vec<Row> {
         let config = RegistryConfig {
             span: 256,
             segments: 32,
             adaptive_segments: false,
         };
-        for spec in all() {
+        let mut rows: Vec<Row> = all()
+            .iter()
+            .map(|spec| Row {
+                name: spec.name,
+                readers_share: spec.readers_share,
+                disjoint_independent: true,
+                build: Box::new(move |wait| spec.build_twophase(wait, &config)),
+            })
+            .collect();
+        rows.push(Row {
+            name: "stock",
+            readers_share: true,
+            disjoint_independent: false,
+            build: Box::new(|wait| build_stock(wait, None)),
+        });
+        rows
+    }
+
+    /// Polls `fut` once with a no-op waker.
+    fn poll_once<F: std::future::Future + Unpin>(fut: &mut F) -> std::task::Poll<F::Output> {
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        std::pin::Pin::new(fut).poll(&mut cx)
+    }
+
+    #[test]
+    fn every_variant_locks_and_conflicts_through_dyn_dispatch() {
+        for row in rows() {
             for wait in WaitPolicyKind::ALL {
-                let lock = spec.build(wait, &config);
-                let w = lock.write_dyn(Range::new(0, 64));
+                let lock = (row.build)(wait);
+                let name = row.name;
+                assert_eq!(lock.dyn_name(), name, "under {}", wait.name());
+                assert_eq!(lock.readers_share(), row.readers_share);
+
+                // Blocking and try acquisition.
+                let w = lock.write(Range::new(0, 64));
                 assert!(
-                    lock.try_write_dyn(Range::new(32, 96)).is_none(),
-                    "{}: overlapping writers must conflict",
-                    spec.name
+                    lock.try_write(Range::new(32, 96)).is_none(),
+                    "{name}: overlapping writers must conflict"
                 );
                 drop(w);
-                let r1 = lock.read_dyn(Range::new(0, 64));
-                let r2 = lock.try_read_dyn(Range::new(0, 64));
+                let r1 = lock.read(Range::new(0, 64));
+                let r2 = lock.try_read(Range::new(0, 64));
                 assert_eq!(
                     r2.is_some(),
-                    spec.readers_share,
-                    "{}: reader sharing must match the spec",
-                    spec.name
+                    row.readers_share,
+                    "{name}: reader sharing must match the spec"
                 );
                 drop(r2);
                 drop(r1);
@@ -519,46 +428,32 @@ mod tests {
 
     #[test]
     fn async_built_variants_resolve_and_cancel_through_dyn_dispatch() {
-        use std::future::Future;
-        use std::pin::Pin;
-        use std::task::{Context, Poll, Waker};
-
-        let mut cx = Context::from_waker(Waker::noop());
-        let config = RegistryConfig {
-            span: 256,
-            segments: 32,
-            adaptive_segments: false,
-        };
-        for spec in all() {
+        for row in rows() {
             for wait in WaitPolicyKind::ALL {
-                let lock = spec.build_async(wait, &config);
-                assert_eq!(lock.dyn_name(), spec.name, "under {}", wait.name());
-                // Uncontended async write resolves on the first poll.
-                let mut fut = lock.write_async_dyn(Range::new(0, 64));
-                let w = match Pin::new(&mut fut).poll(&mut cx) {
-                    Poll::Ready(g) => g,
-                    Poll::Pending => panic!("{}: uncontended write must resolve", spec.name),
+                let lock = (row.build)(wait);
+                let name = row.name;
+                assert_eq!(lock.dyn_name(), name, "under {}", wait.name());
+                // An uncontended write resolves on the first poll; a
+                // conflicting future pends, and dropping it mid-wait cancels.
+                let w = match poll_once(&mut lock.write_async(Range::new(0, 64))) {
+                    std::task::Poll::Ready(g) => g,
+                    std::task::Poll::Pending => panic!("{name}: uncontended write must resolve"),
                 };
-                // A conflicting future pends; dropping it mid-wait cancels.
-                let mut blocked = lock.write_async_dyn(Range::new(32, 96));
-                assert!(Pin::new(&mut blocked).poll(&mut cx).is_pending());
+                let mut blocked = lock.write_async(Range::new(32, 96));
+                assert!(poll_once(&mut blocked).is_pending());
                 drop(blocked);
                 drop(w);
                 assert!(
-                    lock.try_write_dyn(Range::new(0, 256)).is_some(),
-                    "{}: cancelled future left residue",
-                    spec.name
+                    lock.try_write(Range::new(0, 256)).is_some(),
+                    "{name}: cancelled future left residue"
                 );
                 // Reader sharing matches the spec through the async path too.
-                let r1 = {
-                    let mut fut = lock.read_async_dyn(Range::new(0, 64));
-                    match Pin::new(&mut fut).poll(&mut cx) {
-                        Poll::Ready(g) => g,
-                        Poll::Pending => panic!("{}: uncontended read must resolve", spec.name),
-                    }
+                let r1 = match poll_once(&mut lock.read_async(Range::new(0, 64))) {
+                    std::task::Poll::Ready(g) => g,
+                    std::task::Poll::Pending => panic!("{name}: uncontended read must resolve"),
                 };
-                let r2 = lock.try_read_dyn(Range::new(0, 64));
-                assert_eq!(r2.is_some(), spec.readers_share, "{}", spec.name);
+                let r2 = lock.try_read(Range::new(0, 64));
+                assert_eq!(r2.is_some(), row.readers_share, "{name}");
                 drop(r2);
                 drop(r1);
             }
@@ -567,41 +462,34 @@ mod tests {
 
     #[test]
     fn twophase_built_variants_run_the_protocol_and_batches() {
-        use range_lock::{BatchMode, TwoPhaseRwRangeLock};
-
-        let config = RegistryConfig {
-            span: 256,
-            segments: 32,
-            adaptive_segments: false,
-        };
-        for spec in all() {
+        for row in rows() {
             for wait in WaitPolicyKind::ALL {
-                let lock = spec.build_twophase(wait, &config);
-                assert_eq!(lock.dyn_name(), spec.name, "under {}", wait.name());
-                assert_eq!(lock.readers_share_dyn(), spec.readers_share);
+                let lock = (row.build)(wait);
+                let name = row.name;
+                assert_eq!(lock.dyn_name(), name, "under {}", wait.name());
+                assert_eq!(lock.readers_share(), row.readers_share);
                 // Enqueue/poll/cancel round trip through the erased tokens.
-                let mut p = lock.enqueue_write_dyn(Range::new(0, 64));
+                let mut p = lock.enqueue_write(Range::new(0, 64));
                 let g = lock
-                    .poll_write_dyn(&mut p)
+                    .poll_write(&mut p)
                     .expect("uncontended write polls ready");
-                let mut blocked = lock.enqueue_write_dyn(Range::new(32, 96));
-                assert!(lock.poll_write_dyn(&mut blocked).is_none());
-                lock.cancel_write_dyn(&mut blocked);
+                let mut blocked = lock.enqueue_write(Range::new(32, 96));
+                assert!(lock.poll_write(&mut blocked).is_none());
+                lock.cancel_write(&mut blocked);
                 drop(g);
-                // The boxed lock is itself TwoPhaseRwRangeLock, so the batch
-                // surface comes along: all-or-nothing over disjoint items.
-                let guards = lock
-                    .try_acquire_many(&[
-                        (Range::new(0, 32), BatchMode::Write),
-                        (Range::new(64, 96), BatchMode::Read),
-                    ])
-                    .expect("uncontended batch succeeds");
-                assert_eq!(guards.len(), 2);
-                drop(guards);
+                // The batch surface comes along: all-or-nothing over
+                // disjoint items, which `stock` cannot hold together.
+                let guards = lock.try_acquire_many(&[
+                    (Range::new(0, 32), BatchMode::Write),
+                    (Range::new(64, 96), BatchMode::Read),
+                ]);
+                assert_eq!(guards.is_some(), row.disjoint_independent, "{name}");
+                if let Some(guards) = guards {
+                    assert_eq!(guards.len(), 2);
+                }
                 assert!(
-                    lock.try_write_dyn(Range::new(0, 256)).is_some(),
-                    "{}: protocol left residue",
-                    spec.name
+                    lock.try_write(Range::new(0, 256)).is_some(),
+                    "{name}: protocol left residue"
                 );
             }
         }
@@ -622,8 +510,8 @@ mod tests {
                     spin.clone(),
                 );
                 assert_eq!(lock.dyn_name(), spec.name, "under {}", wait.name());
-                drop(lock.write_dyn(Range::new(0, 64)));
-                drop(lock.read_dyn(Range::new(0, 64)));
+                drop(lock.write(Range::new(0, 64)));
+                drop(lock.read(Range::new(0, 64)));
                 let snap = stats.snapshot();
                 assert!(
                     snap.acquisitions >= 2,
@@ -651,9 +539,9 @@ mod tests {
             let stats = Arc::new(WaitStats::new("stock"));
             let lock = build_stock(wait, Some(Arc::clone(&stats)));
             assert_eq!(lock.dyn_name(), "stock");
-            let w = lock.write_dyn(Range::new(0, 8));
+            let w = lock.write(Range::new(0, 8));
             assert!(
-                lock.try_read_dyn(Range::new(1 << 30, 1 << 31)).is_none(),
+                lock.try_read(Range::new(1 << 30, 1 << 31)).is_none(),
                 "stock must conflict across disjoint ranges"
             );
             drop(w);
@@ -670,7 +558,8 @@ mod tests {
             drop(lock.read(Range::new(0, 8)));
         }
         for spec in all() {
-            let lock = spec.build_default();
+            let lock =
+                spec.build_twophase(WaitPolicyKind::SpinThenYield, &RegistryConfig::default());
             exercise(&lock);
         }
     }

@@ -3,17 +3,18 @@
 //! The paper's "stock" configuration is a plain reader-writer semaphore: one
 //! lock for the whole address space, no ranges at all. To let the VM
 //! simulator (and any other subsystem) hold *every* strategy behind a single
-//! `Box<dyn DynRwRangeLock>`, [`WholeSpaceSem`] wraps [`RwSemaphore`] in the
-//! [`RwRangeLock`] interface, ignoring the requested range: every shared
-//! acquisition conflicts with every exclusive acquisition regardless of
-//! overlap, which is exactly what `mmap_sem` does and exactly the cost the
-//! range-lock variants exist to remove.
+//! `Box<dyn DynTwoPhaseRwRangeLock>`, [`WholeSpaceSem`] wraps
+//! [`RwSemaphore`] in the [`RwRangeLock`] and [`TwoPhaseRwRangeLock`]
+//! interfaces, ignoring the requested range: every shared acquisition
+//! conflicts with every exclusive acquisition regardless of overlap, which
+//! is exactly what `mmap_sem` does and exactly the cost the range-lock
+//! variants exist to remove.
 
 use std::sync::Arc;
 
-use range_lock::{Range, RwRangeLock};
+use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock};
 use rl_sync::stats::WaitStats;
-use rl_sync::wait::{Block, WaitPolicy};
+use rl_sync::wait::{Block, WaitPolicy, WaitQueue};
 use rl_sync::{RwSemReadGuard, RwSemWriteGuard, RwSemaphore};
 
 /// An `mmap_sem`-style reader-writer semaphore exposed as a (range-ignoring)
@@ -90,10 +91,54 @@ impl<P: WaitPolicy> RwRangeLock for WholeSpaceSem<P> {
     }
 }
 
+/// The same *try-based* adapter as the tree and segment locks: **enqueue**
+/// records the range, **poll** is a `try_` acquisition, **cancel** has
+/// nothing to undo, and a suspended poller waits on the semaphore's own
+/// queue. It waits under `KEY_ANY`, which every release reaches — the
+/// write release broadcasts, and the read release's keyed wake of the
+/// writer class also wakes the unkeyed population.
+impl<P: WaitPolicy> TwoPhaseRwRangeLock for WholeSpaceSem<P> {
+    type PendingRead = Range;
+    type PendingWrite = Range;
+
+    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
+        range
+    }
+
+    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
+        self.try_read(*pending)
+    }
+
+    fn cancel_read(&self, _pending: &mut Self::PendingRead) {}
+
+    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
+        range
+    }
+
+    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
+        self.try_write(*pending)
+    }
+
+    fn cancel_write(&self, _pending: &mut Self::PendingWrite) {}
+
+    fn wait_queue(&self) -> &WaitQueue {
+        self.sem.wait_queue()
+    }
+
+    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
+        P::wait_until_deadline(self.sem.wait_queue(), cond, deadline)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use range_lock::DynRwRangeLock;
+    use range_lock::DynTwoPhaseRwRangeLock;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::task::{Context, Wake, Waker};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn disjoint_ranges_conflict_like_mmap_sem() {
@@ -111,11 +156,62 @@ mod tests {
 
     #[test]
     fn erases_into_the_dyn_layer() {
-        let lock: Box<dyn DynRwRangeLock> = Box::new(WholeSpaceSem::new());
+        let lock: Box<dyn DynTwoPhaseRwRangeLock> = Box::new(WholeSpaceSem::new());
         assert_eq!(lock.dyn_name(), "stock");
         assert!(lock.readers_share_dyn());
         let g = lock.write_dyn(Range::new(0, 1));
         assert!(lock.try_read_dyn(Range::new(100, 200)).is_none());
+        // The semaphore has no atomic downgrade: the erased write guard
+        // comes back unchanged.
+        let g = lock.downgrade(g).expect_err("stock declines downgrade");
         drop(g);
+    }
+
+    struct CountingWaker(AtomicU64);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn suspended_writers_are_woken_by_a_read_release() {
+        // A read release wakes only the semaphore's writer wait class, while
+        // the two-phase pollers wait unkeyed: both must still be woken.
+        let stats = Arc::new(WaitStats::new("stock"));
+        let sem = WholeSpaceSem::<Block>::with_policy_stats(Arc::clone(&stats));
+
+        // A timed writer parks behind a reader and is woken by its release,
+        // long before its deadline.
+        let reader = sem.read(Range::new(0, 10));
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let start = Instant::now();
+                let granted = sem
+                    .write_timeout(Range::new(100, 200), Duration::from_secs(60))
+                    .is_some();
+                (granted, start.elapsed())
+            });
+            while stats.snapshot().parks == 0 {
+                std::thread::yield_now();
+            }
+            drop(reader);
+            let (granted, waited) = writer.join().unwrap();
+            assert!(granted);
+            assert!(waited < Duration::from_secs(30), "missed wake: {waited:?}");
+        });
+
+        // A pending async writer is woken by the read release too.
+        let count = Arc::new(CountingWaker(AtomicU64::new(0)));
+        let waker = Waker::from(Arc::clone(&count));
+        let mut cx = Context::from_waker(&waker);
+        let reader = sem.read(Range::new(0, 10));
+        let mut fut = sem.write_async(Range::new(100, 200));
+        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        drop(reader);
+        assert!(count.0.load(Ordering::SeqCst) >= 1);
+        let granted = Pin::new(&mut fut).poll(&mut cx);
+        assert!(granted.is_ready(), "reader gone: the writer must resolve");
     }
 }

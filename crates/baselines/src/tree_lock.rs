@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use range_lock::{Range, RangeLock, RwRangeLock, TwoPhaseRangeLock, TwoPhaseRwRangeLock};
+use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock};
 use rl_sync::stats::{WaitKind, WaitStats};
 use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
 use rl_sync::SpinLock;
@@ -214,7 +214,7 @@ impl<P: WaitPolicy> TreeLockInner<P> {
 ///
 /// ```
 /// use rl_baselines::TreeRangeLock;
-/// use range_lock::{Range, RangeLock};
+/// use range_lock::Range;
 ///
 /// let lock = TreeRangeLock::new();
 /// let a = lock.acquire(Range::new(0, 10));
@@ -447,15 +447,37 @@ impl<P: WaitPolicy> Drop for TreeRangeGuard<'_, P> {
     }
 }
 
-impl<P: WaitPolicy> RangeLock for TreeRangeLock<P> {
-    type Guard<'a> = TreeRangeGuard<'a, P>;
+/// Shared and exclusive acquisitions are the same exclusive acquisition.
+impl<P: WaitPolicy> RwRangeLock for TreeRangeLock<P> {
+    type ReadGuard<'a> = TreeRangeGuard<'a, P>;
+    type WriteGuard<'a> = TreeRangeGuard<'a, P>;
 
-    fn acquire(&self, range: Range) -> Self::Guard<'_> {
-        TreeRangeLock::acquire(self, range)
+    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
+        self.acquire(range)
     }
 
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        TreeRangeLock::try_acquire(self, range)
+    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
+        self.acquire(range)
+    }
+
+    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn downgrade<'a>(
+        &'a self,
+        guard: Self::WriteGuard<'a>,
+    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
+        // An exclusive hold already covers a shared one: the identity.
+        Ok(guard)
+    }
+
+    fn readers_share(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -473,18 +495,29 @@ impl<P: WaitPolicy> RangeLock for TreeRangeLock<P> {
 /// afresh on every wake, like a futex waiter without a queue slot. Every
 /// release wakes the queue (see `TreeLockInner::release`), so a suspended
 /// poller cannot miss the removal it was blocked on.
-impl<P: WaitPolicy> TwoPhaseRangeLock for TreeRangeLock<P> {
-    type Pending = Range;
+impl<P: WaitPolicy> TwoPhaseRwRangeLock for TreeRangeLock<P> {
+    type PendingRead = Range;
+    type PendingWrite = Range;
 
-    fn enqueue_acquire(&self, range: Range) -> Self::Pending {
+    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
         range
     }
 
-    fn poll_acquire<'a>(&'a self, pending: &mut Self::Pending) -> Option<Self::Guard<'a>> {
-        TreeRangeLock::try_acquire(self, *pending)
+    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
+        self.try_acquire(*pending)
     }
 
-    fn cancel_acquire(&self, _pending: &mut Self::Pending) {}
+    fn cancel_read(&self, _pending: &mut Self::PendingRead) {}
+
+    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
+        range
+    }
+
+    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
+        self.try_acquire(*pending)
+    }
+
+    fn cancel_write(&self, _pending: &mut Self::PendingWrite) {}
 
     fn wait_queue(&self) -> &WaitQueue {
         &self.inner.queue
@@ -495,8 +528,8 @@ impl<P: WaitPolicy> TwoPhaseRangeLock for TreeRangeLock<P> {
     }
 }
 
-/// See the [`TwoPhaseRangeLock`] impl above for the try-based adapter and
-/// its FIFO-vs-barging fidelity note, which apply to both modes here.
+/// See the `TreeRangeLock` impl above for the try-based adapter and its
+/// FIFO-vs-barging fidelity note, which apply to both modes here.
 impl<P: WaitPolicy> TwoPhaseRwRangeLock for RwTreeRangeLock<P> {
     type PendingRead = Range;
     type PendingWrite = Range;
@@ -742,7 +775,7 @@ mod tests {
 
     #[test]
     fn trait_impls_have_expected_names() {
-        assert_eq!(RangeLock::name(&TreeRangeLock::new()), "lustre-ex");
+        assert_eq!(RwRangeLock::name(&TreeRangeLock::new()), "lustre-ex");
         assert_eq!(RwRangeLock::name(&RwTreeRangeLock::new()), "kernel-rw");
     }
 

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use range_lock::{ExclusiveAsRw, ListRangeLock};
+use range_lock::ListRangeLock;
 use rl_baselines::TreeRangeLock;
 use rl_skiplist::{OptimisticSkipList, RangeSkipList};
 
@@ -63,9 +63,7 @@ fn bench_skiplists(c: &mut Criterion) {
     });
 
     group.bench_function(BenchmarkId::from_parameter("range-list"), |b| {
-        let set = Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            ListRangeLock::new(),
-        )));
+        let set = Arc::new(RangeSkipList::with_lock(ListRangeLock::new()));
         for k in 1..=PREFILL {
             set.insert(k * 2);
         }
@@ -80,9 +78,7 @@ fn bench_skiplists(c: &mut Criterion) {
     });
 
     group.bench_function(BenchmarkId::from_parameter("range-lustre"), |b| {
-        let set = Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            TreeRangeLock::new(),
-        )));
+        let set = Arc::new(RangeSkipList::with_lock(TreeRangeLock::new()));
         for k in 1..=PREFILL {
             set.insert(k * 2);
         }

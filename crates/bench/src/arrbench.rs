@@ -15,7 +15,7 @@
 //! The lock under test is any entry of the dynamic variant registry
 //! (`rl_baselines::registry`): the five paper variants (`lustre-ex`,
 //! `kernel-rw`, `pnova-rw`, `list-ex`, `list-rw`) are driven through the
-//! object-safe `DynRwRangeLock` interface, constructed wait-policy aware —
+//! object-safe `DynTwoPhaseRwRangeLock` interface, constructed wait-policy aware —
 //! which is how the `fig3-oversub` experiment sweeps thread counts beyond the
 //! core count without the spinning policies melting the scheduler.
 //!
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use range_lock::{DynRangeGuard, DynRwRangeLock, Range};
+use range_lock::{DynRangeGuard, DynTwoPhaseRwRangeLock, Range};
 use rl_baselines::registry::{RegistryConfig, VariantSpec};
 use rl_sync::wait::WaitPolicyKind;
 use rl_sync::{padded::padded_vec, CachePadded};
@@ -107,7 +107,7 @@ impl ArrBenchResult {
 
 /// Acquires through the dynamic interface in the requested mode.
 #[inline]
-fn acquire(lock: &dyn DynRwRangeLock, range: Range, read: bool) -> DynRangeGuard<'_> {
+fn acquire(lock: &dyn DynTwoPhaseRwRangeLock, range: Range, read: bool) -> DynRangeGuard<'_> {
     if read {
         lock.read_dyn(range)
     } else {
@@ -119,8 +119,11 @@ fn acquire(lock: &dyn DynRwRangeLock, range: Range, read: bool) -> DynRangeGuard
 pub fn run(config: &ArrBenchConfig) -> ArrBenchResult {
     assert!(config.threads > 0);
     assert!(config.read_pct <= 100);
-    let lock: Arc<Box<dyn DynRwRangeLock>> =
-        Arc::new(config.lock.build(config.wait, &ARRAY_REGISTRY_CONFIG));
+    let lock: Arc<Box<dyn DynTwoPhaseRwRangeLock>> = Arc::new(
+        config
+            .lock
+            .build_twophase(config.wait, &ARRAY_REGISTRY_CONFIG),
+    );
     let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
     let stop = Arc::new(AtomicBool::new(false));
     let total_ops = Arc::new(AtomicU64::new(0));
@@ -200,8 +203,8 @@ pub fn run_fixed_ops(
     read_pct: u32,
     ops_per_thread: u64,
 ) -> u64 {
-    let lock: Arc<Box<dyn DynRwRangeLock>> =
-        Arc::new(lock.build(WaitPolicyKind::SpinThenYield, &ARRAY_REGISTRY_CONFIG));
+    let lock: Arc<Box<dyn DynTwoPhaseRwRangeLock>> =
+        Arc::new(lock.build_twophase(WaitPolicyKind::SpinThenYield, &ARRAY_REGISTRY_CONFIG));
     let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
     let mut handles = Vec::with_capacity(threads);
     for thread_id in 0..threads {

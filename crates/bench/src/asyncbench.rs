@@ -19,15 +19,15 @@
 //!
 //! Every owner performs a fixed number of operations (fixed work, not fixed
 //! time: the interesting number is how long the backlog takes to drain), on
-//! any variant of the dynamic registry via the async-capable
-//! [`DynAsyncRwRangeLock`] interface — the five paper variants all sweep
+//! any variant of the dynamic registry via the boxed
+//! [`DynTwoPhaseRwRangeLock`] interface — the five paper variants all sweep
 //! through the same driver.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use range_lock::{DynAsyncRwRangeLock, DynRwRangeLock, Range};
+use range_lock::{DynTwoPhaseRwRangeLock, Range, RwBatchGuard, RwRangeLock, TwoPhaseRwRangeLock};
 use rl_baselines::registry::VariantSpec;
 use rl_exec::TaskPool;
 use rl_obs::{HistogramSnapshot, LatencyHistogram};
@@ -154,14 +154,23 @@ fn critical_section(slots: &[CachePadded<AtomicU64>], range: Range, read: bool) 
 }
 
 fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
-    let lock: Arc<Box<dyn DynAsyncRwRangeLock>> = Arc::new(
-        config
-            .lock
-            // The sync wait policy only governs sync waiters; async owners
-            // always suspend on wakers. `Block` keeps any incidental sync
-            // waiting honest.
-            .build_async(WaitPolicyKind::Block, &ARRAY_REGISTRY_CONFIG),
-    );
+    let lock = config
+        .lock
+        // The sync wait policy only governs sync waiters; async owners
+        // always suspend on wakers. `Block` keeps any incidental sync
+        // waiting honest.
+        .build_twophase(WaitPolicyKind::Block, &ARRAY_REGISTRY_CONFIG);
+    run_async_tasks_on(Arc::new(lock), config)
+}
+
+/// The task driver, generic over the lock so the spawned futures' `Send`
+/// bound is proven from the trait bounds: a concrete `Box<dyn …>` lock
+/// inside a spawned future trips rustc's "implementation is not general
+/// enough" auto-trait check (see `rl_server::DynLock`).
+fn run_async_tasks_on<L: TwoPhaseRwRangeLock + 'static>(
+    lock: Arc<L>,
+    config: &AsyncBenchConfig,
+) -> AsyncBenchResult {
     let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
     let waits = Arc::new(LatencyHistogram::new());
     let pool = TaskPool::new(config.workers.max(1));
@@ -178,9 +187,9 @@ fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
                     let (range, read) = next_op(&mut rng_state, config.read_pct);
                     let requested = Instant::now();
                     let guard = if read {
-                        lock.read_async_dyn(range).await
+                        RwBatchGuard::<L>::Read(lock.read_async(range).await)
                     } else {
-                        lock.write_async_dyn(range).await
+                        RwBatchGuard::Write(lock.write_async(range).await)
                     };
                     waits.record(requested.elapsed().as_nanos() as u64);
                     critical_section(&slots, range, read);
@@ -200,8 +209,8 @@ fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
 }
 
 fn run_thread_per_owner(config: &AsyncBenchConfig, wait: WaitPolicyKind) -> AsyncBenchResult {
-    let lock: Arc<Box<dyn DynRwRangeLock>> =
-        Arc::new(config.lock.build(wait, &ARRAY_REGISTRY_CONFIG));
+    let lock: Arc<Box<dyn DynTwoPhaseRwRangeLock>> =
+        Arc::new(config.lock.build_twophase(wait, &ARRAY_REGISTRY_CONFIG));
     let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
     let waits = Arc::new(LatencyHistogram::new());
     let started = Instant::now();
@@ -217,9 +226,9 @@ fn run_thread_per_owner(config: &AsyncBenchConfig, wait: WaitPolicyKind) -> Asyn
                     let (range, read) = next_op(&mut rng_state, config.read_pct);
                     let requested = Instant::now();
                     let guard = if read {
-                        lock.read_dyn(range)
+                        lock.read(range)
                     } else {
-                        lock.write_dyn(range)
+                        lock.write(range)
                     };
                     waits.record(requested.elapsed().as_nanos() as u64);
                     critical_section(&slots, range, read);

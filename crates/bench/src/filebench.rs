@@ -15,8 +15,8 @@
 //! * the full lock-variant matrix, straight from the dynamic registry
 //!   (`rl_baselines::registry`): the reader-writer locks (`list-rw`,
 //!   `kernel-rw`, `pnova-rw`) plus the exclusive locks (`list-ex`,
-//!   `lustre-ex`), the latter registered behind `ExclusiveAsRw`, which makes
-//!   the cost of serializing readers directly visible.
+//!   `lustre-ex`), whose reads are exclusive too, which makes the cost of
+//!   serializing readers directly visible.
 //!
 //! Every write is a *stamped* region write and every read a *stamped* region
 //! read (see `rl_file::RangeFile::write_stamped`), so the benchmark doubles
@@ -251,11 +251,13 @@ fn run_generic<L: RwRangeLock + 'static>(lock: L, config: &FileBenchConfig) -> F
 /// Runs one FileBench configuration.
 ///
 /// The lock is built from the registry and driven through dynamic dispatch
-/// (`Box<dyn DynRwRangeLock>` implements [`RwRangeLock`]), so one code path
+/// (`Box<dyn DynTwoPhaseRwRangeLock>` implements [`RwRangeLock`]), so one code path
 /// covers every variant under every wait policy.
 pub fn run(config: &FileBenchConfig) -> FileBenchResult {
     run_generic(
-        config.lock.build(config.wait, &FILE_REGISTRY_CONFIG),
+        config
+            .lock
+            .build_twophase(config.wait, &FILE_REGISTRY_CONFIG),
         config,
     )
 }
@@ -278,7 +280,7 @@ pub fn run_fixed_ops(
     dist: OffsetDist,
     ops_per_thread: u64,
 ) -> u64 {
-    let lock = lock.build(WaitPolicyKind::SpinThenYield, &FILE_REGISTRY_CONFIG);
+    let lock = lock.build_twophase(WaitPolicyKind::SpinThenYield, &FILE_REGISTRY_CONFIG);
     let file = Arc::new(RangeFile::new(lock));
     file.truncate(FILE_SIZE);
     let mut handles = Vec::with_capacity(threads);

@@ -2,7 +2,7 @@
 //!
 //! One module per experiment family (the lock-variant axis of every sweep
 //! comes from the dynamic registry in `rl_baselines::registry`, driven
-//! through the object-safe `DynRwRangeLock` interface):
+//! through the object-safe `DynTwoPhaseRwRangeLock` interface):
 //!
 //! * [`arrbench`] — the ArrBench array microbenchmark (Figure 3, all six
 //!   panels);

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use range_lock::{ExclusiveAsRw, ListRangeLock, RwRangeLock};
+use range_lock::{ListRangeLock, RwRangeLock};
 use rl_baselines::TreeRangeLock;
 use rl_skiplist::{DynRangeSkipList, OptimisticSkipList, RangeSkipList};
 use rl_sync::wait::WaitPolicyKind;
@@ -197,12 +197,8 @@ impl<L: RwRangeLock> SetUnderTest for RangeSkipList<L> {
 fn build_set(variant: SkipListVariant) -> Arc<dyn SetUnderTest> {
     match variant {
         SkipListVariant::Orig => Arc::new(OptimisticSkipList::new()),
-        SkipListVariant::RangeLustre => Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            TreeRangeLock::new(),
-        ))),
-        SkipListVariant::RangeList => Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            ListRangeLock::new(),
-        ))),
+        SkipListVariant::RangeLustre => Arc::new(RangeSkipList::with_lock(TreeRangeLock::new())),
+        SkipListVariant::RangeList => Arc::new(RangeSkipList::with_lock(ListRangeLock::new())),
         SkipListVariant::Registry { variant, wait, .. } => Arc::new(
             DynRangeSkipList::from_registry(variant, wait)
                 .unwrap_or_else(|| panic!("unknown registry variant `{variant}`")),

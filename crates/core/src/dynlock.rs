@@ -1,24 +1,27 @@
-//! Object-safe (dynamic-dispatch) range-lock interfaces.
+//! The object-safe (dynamic-dispatch) range-lock interface.
 //!
-//! The [`RangeLock`]/[`RwRangeLock`] traits use generic associated guard
-//! types, which makes them fast (guards are concrete, drops are static calls)
-//! but not object-safe: you cannot put a `ListRangeLock` and a
+//! [`RwRangeLock`] and [`TwoPhaseRwRangeLock`] use generic associated guard
+//! and token types, which makes them fast (guards are concrete, drops are
+//! static calls) but not object-safe: you cannot put a `ListRangeLock` and a
 //! `TreeRangeLock` behind the same `dyn` pointer. The benchmark harness,
-//! however, wants exactly that — one variable that holds *any* of the five
-//! paper variants, chosen by name at runtime — and previously every call
-//! site grew its own hand-rolled `enum AnyLock { … }` to fake it.
+//! the VM simulator and the lock server, however, want exactly that — one
+//! variable that holds *any* of the paper variants, chosen by name at
+//! runtime.
 //!
 //! This module provides the dynamic layer once:
 //!
-//! * [`DynRangeLock`] / [`DynRwRangeLock`] — object-safe mirror traits whose
-//!   methods return a [`DynRangeGuard`], a boxed type-erased guard;
-//! * blanket impls so **every** static lock (and any future one) is
+//! * [`DynTwoPhaseRwRangeLock`] — the one object-safe mirror trait. Its
+//!   blocking and `try_` methods return a [`DynRangeGuard`], a boxed
+//!   type-erased guard; its enqueue methods return a [`DynPending`], a boxed
+//!   type-erased two-phase token;
+//! * a blanket impl, so **every** two-phase lock (and any future one) is
 //!   automatically a dyn lock: `Box<TreeRangeLock>` coerces to
-//!   `Box<dyn DynRwRangeLock>` with no per-lock code;
-//! * [`RangeLock`]/[`RwRangeLock`] impls **for** `Box<dyn DynRangeLock>` /
-//!   `Box<dyn DynRwRangeLock>`, closing the loop: a boxed dynamic lock plugs
-//!   back into every generic subsystem (the file store, the lock table, the
-//!   benchmark drivers) unchanged. [`RwRangeLock::downgrade`] survives the
+//!   `Box<dyn DynTwoPhaseRwRangeLock>` with no per-lock code;
+//! * [`RwRangeLock`] and [`TwoPhaseRwRangeLock`] impls **for**
+//!   `Box<dyn DynTwoPhaseRwRangeLock>`, closing the loop: a boxed dynamic
+//!   lock plugs back into every generic subsystem (the file store, the lock
+//!   table, the benchmark drivers) unchanged, with the timed, batched and
+//!   async surfaces along for free. [`RwRangeLock::downgrade`] survives the
 //!   erasure too — write guards are boxed together with their lock, so a
 //!   registry-built `list-rw` downgrades in place through the dyn layer just
 //!   like its static twin (locks without downgrade support still return
@@ -31,19 +34,19 @@
 //! # Cost
 //!
 //! Each dynamic acquisition adds one vtable call and one heap allocation for
-//! the boxed guard. That is fine for benchmarks driving millions of
-//! operations through a variant chosen at runtime, and irrelevant for tests;
-//! hot paths that know their lock type statically should keep using the
-//! generic traits.
+//! the boxed guard (a two-phase acquisition also boxes its token). That is
+//! fine for benchmarks driving millions of operations through a variant
+//! chosen at runtime, and irrelevant for tests; hot paths that know their
+//! lock type statically should keep using the generic traits.
 //!
 //! # Examples
 //!
 //! ```
-//! use range_lock::{DynRwRangeLock, ListRangeLock, Range, RwListRangeLock, ExclusiveAsRw};
+//! use range_lock::{DynTwoPhaseRwRangeLock, ListRangeLock, Range, RwListRangeLock};
 //!
-//! let locks: Vec<Box<dyn DynRwRangeLock>> = vec![
+//! let locks: Vec<Box<dyn DynTwoPhaseRwRangeLock>> = vec![
 //!     Box::new(RwListRangeLock::new()),
-//!     Box::new(ExclusiveAsRw::new(ListRangeLock::new())),
+//!     Box::new(ListRangeLock::new()),
 //! ];
 //! for lock in &locks {
 //!     let g = lock.write_dyn(Range::new(0, 10));
@@ -51,13 +54,9 @@
 //! }
 //! ```
 
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
-
 use crate::range::Range;
-use crate::traits::{RangeLock, RwRangeLock};
-use crate::twophase::{AsyncRwRangeLock, TwoPhaseRwRangeLock};
+use crate::traits::RwRangeLock;
+use crate::twophase::TwoPhaseRwRangeLock;
 
 /// Boxable guard interface. Private — the only way to obtain one is through
 /// the dyn traits below.
@@ -118,9 +117,22 @@ where
     }
 }
 
+/// Boxes a write guard together with its lock (see [`WriteGuardErased`]).
+fn erase_write<'a, L>(lock: &'a L, guard: L::WriteGuard<'a>) -> DynRangeGuard<'a>
+where
+    L: RwRangeLock + 'a,
+    L::ReadGuard<'a>: Send,
+    L::WriteGuard<'a>: Send,
+{
+    DynRangeGuard(Box::new(WriteGuardErased {
+        lock,
+        state: WriteState::Write(guard),
+    }))
+}
+
 /// A type-erased, boxed RAII guard: releases its range when dropped.
 ///
-/// Returned by every method of [`DynRangeLock`] and [`DynRwRangeLock`]; the
+/// Returned by every acquiring method of [`DynTwoPhaseRwRangeLock`]; the
 /// concrete guard type (and therefore the release logic) lives behind the
 /// box. The guard is [`Send`] so it can be released from another thread,
 /// which the `rl-file` lock table relies on.
@@ -130,187 +142,6 @@ pub struct DynRangeGuard<'a>(Box<dyn ErasedGuard + 'a>);
 impl std::fmt::Debug for DynRangeGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("DynRangeGuard(..)")
-    }
-}
-
-/// Object-safe mirror of [`RangeLock`]: an exclusive range lock usable
-/// through `dyn`.
-///
-/// Automatically implemented for every [`RangeLock`] whose guards are
-/// [`Send`] (all of them in this workspace); never implement it by hand.
-pub trait DynRangeLock: Send + Sync {
-    /// Acquires exclusive access to `range`, waiting for overlapping holders.
-    fn acquire_dyn(&self, range: Range) -> DynRangeGuard<'_>;
-
-    /// Bounded acquisition attempt; see the
-    /// [`try_` contract](crate::traits#try_-semantics-normative).
-    fn try_acquire_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>>;
-
-    /// Short, stable identifier (e.g. `"list-ex"`), matching
-    /// [`RangeLock::name`].
-    fn dyn_name(&self) -> &'static str;
-}
-
-impl<L> DynRangeLock for L
-where
-    L: RangeLock,
-    for<'a> L::Guard<'a>: Send,
-{
-    fn acquire_dyn(&self, range: Range) -> DynRangeGuard<'_> {
-        DynRangeGuard(Box::new(PlainGuard(self.acquire(range))))
-    }
-
-    fn try_acquire_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
-        self.try_acquire(range)
-            .map(|g| DynRangeGuard(Box::new(PlainGuard(g)) as Box<dyn ErasedGuard + '_>))
-    }
-
-    fn dyn_name(&self) -> &'static str {
-        self.name()
-    }
-}
-
-/// Object-safe mirror of [`RwRangeLock`]: a reader-writer range lock usable
-/// through `dyn`.
-///
-/// Automatically implemented for every [`RwRangeLock`] whose guards are
-/// [`Send`]; never implement it by hand.
-pub trait DynRwRangeLock: Send + Sync {
-    /// Acquires `range` in shared mode, waiting for conflicting writers.
-    fn read_dyn(&self, range: Range) -> DynRangeGuard<'_>;
-
-    /// Acquires `range` in exclusive mode, waiting for overlapping holders.
-    fn write_dyn(&self, range: Range) -> DynRangeGuard<'_>;
-
-    /// Bounded shared acquisition attempt; see the
-    /// [`try_` contract](crate::traits#try_-semantics-normative).
-    fn try_read_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>>;
-
-    /// Bounded exclusive acquisition attempt; see the
-    /// [`try_` contract](crate::traits#try_-semantics-normative).
-    fn try_write_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>>;
-
-    /// Whether overlapping shared acquisitions can actually be held
-    /// concurrently, matching [`RwRangeLock::readers_share`].
-    fn readers_share_dyn(&self) -> bool;
-
-    /// Short, stable identifier (e.g. `"list-rw"`), matching
-    /// [`RwRangeLock::name`].
-    fn dyn_name(&self) -> &'static str;
-}
-
-impl<L> DynRwRangeLock for L
-where
-    L: RwRangeLock,
-    for<'a> L::ReadGuard<'a>: Send,
-    for<'a> L::WriteGuard<'a>: Send,
-{
-    fn read_dyn(&self, range: Range) -> DynRangeGuard<'_> {
-        DynRangeGuard(Box::new(PlainGuard(self.read(range))))
-    }
-
-    fn write_dyn(&self, range: Range) -> DynRangeGuard<'_> {
-        DynRangeGuard(Box::new(WriteGuardErased {
-            lock: self,
-            state: WriteState::Write(self.write(range)),
-        }))
-    }
-
-    fn try_read_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
-        self.try_read(range)
-            .map(|g| DynRangeGuard(Box::new(PlainGuard(g)) as Box<dyn ErasedGuard + '_>))
-    }
-
-    fn try_write_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
-        self.try_write(range).map(|g| {
-            DynRangeGuard(Box::new(WriteGuardErased {
-                lock: self,
-                state: WriteState::Write(g),
-            }) as Box<dyn ErasedGuard + '_>)
-        })
-    }
-
-    fn readers_share_dyn(&self) -> bool {
-        self.readers_share()
-    }
-
-    fn dyn_name(&self) -> &'static str {
-        self.name()
-    }
-}
-
-/// A type-erased, boxed acquisition future resolving to a
-/// [`DynRangeGuard`].
-///
-/// Returned by the [`DynAsyncRwRangeLock`] methods: the concrete future
-/// type (and therefore the cancel-on-drop logic) lives behind the box, so a
-/// runtime-chosen variant can be awaited like any static lock. Dropping the
-/// future before it resolves cancels the underlying two-phase acquisition —
-/// the erasure preserves the cancellation-safety contract of
-/// [`crate::twophase`].
-#[must_use = "futures do nothing unless polled"]
-pub struct DynAcquireFuture<'a> {
-    inner: Pin<Box<dyn Future<Output = DynRangeGuard<'a>> + Send + 'a>>,
-}
-
-impl<'a> Future for DynAcquireFuture<'a> {
-    type Output = DynRangeGuard<'a>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.inner.as_mut().poll(cx)
-    }
-}
-
-impl std::fmt::Debug for DynAcquireFuture<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DynAcquireFuture(..)")
-    }
-}
-
-/// Object-safe mirror of the async reader-writer API
-/// ([`AsyncRwRangeLock`]): asynchronous acquisition usable through `dyn`,
-/// with the sync interface along for the ride as a supertrait.
-///
-/// Automatically implemented for every [`TwoPhaseRwRangeLock`] whose guards
-/// are [`Send`] (all five registry variants); never implement it by hand.
-/// The erasure happens at the *future* level: each call boxes one future,
-/// whose output is a boxed guard. Write guards keep their lock alongside,
-/// so [`RwRangeLock::downgrade`] keeps working through
-/// `Box<dyn DynAsyncRwRangeLock>` exactly as through the sync dyn layer.
-pub trait DynAsyncRwRangeLock: DynRwRangeLock {
-    /// Acquires `range` in shared mode asynchronously; dropping the future
-    /// cancels the acquisition cleanly.
-    fn read_async_dyn(&self, range: Range) -> DynAcquireFuture<'_>;
-
-    /// Acquires `range` in exclusive mode asynchronously; dropping the
-    /// future cancels the acquisition cleanly.
-    fn write_async_dyn(&self, range: Range) -> DynAcquireFuture<'_>;
-}
-
-impl<L> DynAsyncRwRangeLock for L
-where
-    L: TwoPhaseRwRangeLock,
-    for<'a> L::ReadGuard<'a>: Send,
-    for<'a> L::WriteGuard<'a>: Send,
-{
-    fn read_async_dyn(&self, range: Range) -> DynAcquireFuture<'_> {
-        DynAcquireFuture {
-            inner: Box::pin(async move {
-                DynRangeGuard(Box::new(PlainGuard(self.read_async(range).await)))
-            }),
-        }
-    }
-
-    fn write_async_dyn(&self, range: Range) -> DynAcquireFuture<'_> {
-        DynAcquireFuture {
-            inner: Box::pin(async move {
-                let guard = self.write_async(range).await;
-                DynRangeGuard(Box::new(WriteGuardErased {
-                    lock: self,
-                    state: WriteState::Write(guard),
-                }))
-            }),
-        }
     }
 }
 
@@ -348,19 +179,42 @@ fn downcast_pending_ref<P: 'static>(pending: &DynPending) -> &P {
         .expect("DynPending passed back to a lock (or mode) other than the one that issued it")
 }
 
-/// Object-safe mirror of the cancellable two-phase protocol
-/// ([`TwoPhaseRwRangeLock`]): enqueue / poll / cancel usable through `dyn`,
-/// with the async and sync interfaces as supertraits.
+/// Object-safe mirror of [`RwRangeLock`] and [`TwoPhaseRwRangeLock`]:
+/// blocking, `try_` and enqueue / poll / cancel acquisition usable through
+/// `dyn`.
 ///
 /// Automatically implemented for every [`TwoPhaseRwRangeLock`] whose guards
-/// are [`Send`] and whose pending tokens are `'static` (all five registry
-/// variants); never implement it by hand. Closing the loop,
-/// `Box<dyn DynTwoPhaseRwRangeLock>` implements [`TwoPhaseRwRangeLock`]
-/// itself (with [`DynPending`] tokens), which makes the *whole* two-phase
-/// surface — timed acquisition, the acquisition futures, batched
-/// `acquire_many`, and the `rl-file` lock table's async + deadlock-checked
-/// paths — available on a variant chosen by name at runtime.
-pub trait DynTwoPhaseRwRangeLock: DynAsyncRwRangeLock {
+/// are [`Send`] and whose pending tokens are `'static` (every registry
+/// variant and the stock semaphore); never implement it by hand. Closing
+/// the loop, `Box<dyn DynTwoPhaseRwRangeLock>` implements
+/// [`TwoPhaseRwRangeLock`] itself (with [`DynPending`] tokens), which makes
+/// the *whole* surface — timed acquisition, the acquisition futures,
+/// batched `acquire_many`, and the `rl-file` lock table's async +
+/// deadlock-checked paths — available on a variant chosen by name at
+/// runtime.
+pub trait DynTwoPhaseRwRangeLock: Send + Sync {
+    /// Acquires `range` in shared mode, waiting for conflicting holders.
+    fn read_dyn(&self, range: Range) -> DynRangeGuard<'_>;
+
+    /// Acquires `range` in exclusive mode, waiting for overlapping holders.
+    fn write_dyn(&self, range: Range) -> DynRangeGuard<'_>;
+
+    /// Bounded shared acquisition attempt; see the
+    /// [`try_` contract](crate::traits#try_-semantics-normative).
+    fn try_read_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>>;
+
+    /// Bounded exclusive acquisition attempt; see the
+    /// [`try_` contract](crate::traits#try_-semantics-normative).
+    fn try_write_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>>;
+
+    /// Whether overlapping shared acquisitions can actually be held
+    /// concurrently, matching [`RwRangeLock::readers_share`].
+    fn readers_share_dyn(&self) -> bool;
+
+    /// Short, stable identifier (e.g. `"list-rw"`), matching
+    /// [`RwRangeLock::name`].
+    fn dyn_name(&self) -> &'static str;
+
     /// Starts a two-phase shared acquisition; see
     /// [`TwoPhaseRwRangeLock::enqueue_read`].
     fn enqueue_read_dyn(&self, range: Range) -> DynPending;
@@ -423,13 +277,38 @@ where
     for<'a> L::ReadGuard<'a>: Send,
     for<'a> L::WriteGuard<'a>: Send,
 {
+    fn read_dyn(&self, range: Range) -> DynRangeGuard<'_> {
+        DynRangeGuard(Box::new(PlainGuard(self.read(range))))
+    }
+
+    fn write_dyn(&self, range: Range) -> DynRangeGuard<'_> {
+        erase_write(self, self.write(range))
+    }
+
+    fn try_read_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
+        self.try_read(range)
+            .map(|g| DynRangeGuard(Box::new(PlainGuard(g))))
+    }
+
+    fn try_write_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
+        self.try_write(range).map(|g| erase_write(self, g))
+    }
+
+    fn readers_share_dyn(&self) -> bool {
+        self.readers_share()
+    }
+
+    fn dyn_name(&self) -> &'static str {
+        self.name()
+    }
+
     fn enqueue_read_dyn(&self, range: Range) -> DynPending {
         DynPending(Box::new(self.enqueue_read(range)))
     }
 
     fn poll_read_dyn(&self, pending: &mut DynPending) -> Option<DynRangeGuard<'_>> {
         self.poll_read(downcast_pending::<L::PendingRead>(pending))
-            .map(|g| DynRangeGuard(Box::new(PlainGuard(g)) as Box<dyn ErasedGuard + '_>))
+            .map(|g| DynRangeGuard(Box::new(PlainGuard(g))))
     }
 
     fn cancel_read_dyn(&self, pending: &mut DynPending) {
@@ -442,12 +321,7 @@ where
 
     fn poll_write_dyn(&self, pending: &mut DynPending) -> Option<DynRangeGuard<'_>> {
         self.poll_write(downcast_pending::<L::PendingWrite>(pending))
-            .map(|g| {
-                DynRangeGuard(Box::new(WriteGuardErased {
-                    lock: self,
-                    state: WriteState::Write(g),
-                }) as Box<dyn ErasedGuard + '_>)
-            })
+            .map(|g| erase_write(self, g))
     }
 
     fn cancel_write_dyn(&self, pending: &mut DynPending) {
@@ -484,106 +358,7 @@ where
     }
 }
 
-impl RangeLock for Box<dyn DynRangeLock> {
-    type Guard<'a> = DynRangeGuard<'a>;
-
-    fn acquire(&self, range: Range) -> Self::Guard<'_> {
-        (**self).acquire_dyn(range)
-    }
-
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        (**self).try_acquire_dyn(range)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).dyn_name()
-    }
-}
-
-impl RwRangeLock for Box<dyn DynRwRangeLock> {
-    type ReadGuard<'a> = DynRangeGuard<'a>;
-    type WriteGuard<'a> = DynRangeGuard<'a>;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        (**self).read_dyn(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        (**self).write_dyn(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        (**self).try_read_dyn(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        (**self).try_write_dyn(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        mut guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        if guard.0.downgrade_erased() {
-            Ok(guard)
-        } else {
-            Err(guard)
-        }
-    }
-
-    fn readers_share(&self) -> bool {
-        (**self).readers_share_dyn()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).dyn_name()
-    }
-}
-
-/// The async-capable boxed lock drives every sync-generic subsystem too:
-/// the mirror of the `Box<dyn DynRwRangeLock>` impl above.
-impl RwRangeLock for Box<dyn DynAsyncRwRangeLock> {
-    type ReadGuard<'a> = DynRangeGuard<'a>;
-    type WriteGuard<'a> = DynRangeGuard<'a>;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        (**self).read_dyn(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        (**self).write_dyn(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        (**self).try_read_dyn(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        (**self).try_write_dyn(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        mut guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        if guard.0.downgrade_erased() {
-            Ok(guard)
-        } else {
-            Err(guard)
-        }
-    }
-
-    fn readers_share(&self) -> bool {
-        (**self).readers_share_dyn()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).dyn_name()
-    }
-}
-
-/// The two-phase-capable boxed lock drives the sync-generic subsystems too:
-/// the mirror of the `Box<dyn DynRwRangeLock>` impl above.
+/// A boxed dyn lock drives every sync-generic subsystem.
 impl RwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
     type ReadGuard<'a> = DynRangeGuard<'a>;
     type WriteGuard<'a> = DynRangeGuard<'a>;
@@ -624,10 +399,10 @@ impl RwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
     }
 }
 
-/// Closing the two-phase loop: a boxed dyn two-phase lock *is* a
-/// [`TwoPhaseRwRangeLock`] (with [`DynPending`] tokens), so the blanket
-/// async layer, the timed methods, batched acquisition, and the `rl-file`
-/// lock table's two-phase paths all work on a runtime-chosen variant.
+/// Closing the two-phase loop: a boxed dyn lock *is* a
+/// [`TwoPhaseRwRangeLock`] (with [`DynPending`] tokens), so the async and
+/// timed methods, batched acquisition, and the `rl-file` lock table's
+/// two-phase paths all work on a runtime-chosen variant.
 impl TwoPhaseRwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
     type PendingRead = DynPending;
     type PendingWrite = DynPending;
@@ -685,22 +460,37 @@ impl TwoPhaseRwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::ExclusiveAsRw;
+    use crate::twophase::BatchMode;
     use crate::{ListRangeLock, RwListRangeLock};
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::{Context, Poll};
+
+    type BoxedLock = Box<dyn DynTwoPhaseRwRangeLock>;
 
     #[test]
     fn boxed_exclusive_lock_round_trip() {
-        let lock: Box<dyn DynRangeLock> = Box::new(ListRangeLock::new());
-        assert_eq!(RangeLock::name(&lock), "list-ex");
-        let g = lock.acquire(Range::new(0, 10));
-        assert!(lock.try_acquire(Range::new(5, 15)).is_none());
+        let lock: BoxedLock = Box::new(ListRangeLock::new());
+        assert_eq!(RwRangeLock::name(&lock), "list-ex");
+        let g = lock.write(Range::new(0, 10));
+        assert!(lock.try_write(Range::new(5, 15)).is_none());
         drop(g);
-        assert!(lock.try_acquire(Range::new(5, 15)).is_some());
+        assert!(lock.try_write(Range::new(5, 15)).is_some());
+    }
+
+    #[test]
+    fn adapter_composes_with_dyn_layer() {
+        let lock: BoxedLock = Box::new(ListRangeLock::new());
+        assert_eq!(RwRangeLock::name(&lock), "list-ex");
+        let r = lock.read(Range::new(0, 10));
+        // Readers serialize on the exclusive lock, through the erasure too.
+        assert!(lock.try_read(Range::new(5, 15)).is_none());
+        drop(r);
     }
 
     #[test]
     fn boxed_rw_lock_round_trip() {
-        let lock: Box<dyn DynRwRangeLock> = Box::new(RwListRangeLock::new());
+        let lock: BoxedLock = Box::new(RwListRangeLock::new());
         assert_eq!(RwRangeLock::name(&lock), "list-rw");
         let r1 = lock.read(Range::new(0, 100));
         let r2 = lock.try_read(Range::new(50, 150)).expect("readers share");
@@ -711,20 +501,10 @@ mod tests {
     }
 
     #[test]
-    fn adapter_composes_with_dyn_layer() {
-        let lock: Box<dyn DynRwRangeLock> = Box::new(ExclusiveAsRw::new(ListRangeLock::new()));
-        assert_eq!(RwRangeLock::name(&lock), "list-ex");
-        let r = lock.read(Range::new(0, 10));
-        // Readers serialize through the exclusive adapter.
-        assert!(lock.try_read(Range::new(5, 15)).is_none());
-        drop(r);
-    }
-
-    #[test]
     fn downgrade_survives_the_erasure() {
         // list-rw supports downgrade: through the dyn layer the write guard
         // must flip in place (readers admitted, writers still excluded).
-        let lock: Box<dyn DynRwRangeLock> = Box::new(RwListRangeLock::new());
+        let lock: BoxedLock = Box::new(RwListRangeLock::new());
         let w = lock.write(Range::new(0, 100));
         assert!(lock.try_read(Range::new(50, 150)).is_none());
         let r = lock.downgrade(w).expect("list-rw downgrades through dyn");
@@ -733,31 +513,13 @@ mod tests {
         drop(r2);
         drop(r);
 
-        // ExclusiveAsRw downgrades trivially (stays exclusive).
-        let ex: Box<dyn DynRwRangeLock> = Box::new(ExclusiveAsRw::new(ListRangeLock::new()));
+        // The exclusive lock downgrades trivially (stays exclusive).
+        let ex: BoxedLock = Box::new(ListRangeLock::new());
         let w = ex.write(Range::new(0, 10));
-        let g = ex.downgrade(w).expect("adapter downgrade is the identity");
+        let g = ex
+            .downgrade(w)
+            .expect("exclusive downgrade is the identity");
         drop(g);
-
-        // A lock without downgrade support returns the guard unchanged.
-        struct NoDowngrade(RwListRangeLock);
-        impl RwRangeLock for NoDowngrade {
-            type ReadGuard<'a> = crate::RwListRangeGuard<'a>;
-            type WriteGuard<'a> = crate::RwListRangeGuard<'a>;
-            fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-                self.0.read(range)
-            }
-            fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-                self.0.write(range)
-            }
-            fn name(&self) -> &'static str {
-                "no-downgrade"
-            }
-        }
-        let nd: Box<dyn DynRwRangeLock> = Box::new(NoDowngrade(RwListRangeLock::new()));
-        let w = nd.write(Range::new(0, 10));
-        let w = nd.downgrade(w).expect_err("default declines");
-        drop(w);
     }
 
     #[test]
@@ -776,20 +538,20 @@ mod tests {
         let waker = Waker::from(Arc::clone(&count));
         let mut cx = Context::from_waker(&waker);
 
-        let locks: Vec<Box<dyn DynAsyncRwRangeLock>> = vec![
+        let locks: Vec<BoxedLock> = vec![
             Box::new(RwListRangeLock::new()),
-            Box::new(ExclusiveAsRw::new(ListRangeLock::new())),
+            Box::new(ListRangeLock::new()),
         ];
         for lock in &locks {
             // Uncontended write resolves on the first poll.
-            let mut fut = lock.write_async_dyn(Range::new(0, 100));
+            let mut fut = lock.write_async(Range::new(0, 100));
             let guard = match Pin::new(&mut fut).poll(&mut cx) {
                 Poll::Ready(g) => g,
                 Poll::Pending => panic!("uncontended dyn future must resolve"),
             };
             // A conflicting write future stays pending until the release
             // wakes its registered waker.
-            let mut blocked = lock.write_async_dyn(Range::new(50, 150));
+            let mut blocked = lock.write_async(Range::new(50, 150));
             assert!(Pin::new(&mut blocked).poll(&mut cx).is_pending());
             let woken_before = count.0.load(Ordering::SeqCst);
             drop(guard);
@@ -803,15 +565,14 @@ mod tests {
     #[test]
     fn async_dyn_write_guard_still_downgrades() {
         use std::task::Waker;
-        let lock: Box<dyn DynAsyncRwRangeLock> = Box::new(RwListRangeLock::new());
+        let lock: BoxedLock = Box::new(RwListRangeLock::new());
         let mut cx = Context::from_waker(Waker::noop());
-        let mut fut = lock.write_async_dyn(Range::new(0, 100));
+        let mut fut = lock.write_async(Range::new(0, 100));
         let w = match Pin::new(&mut fut).poll(&mut cx) {
             Poll::Ready(g) => g,
             Poll::Pending => panic!("uncontended"),
         };
-        // Through the RwRangeLock impl for the async boxed lock.
-        let r = RwRangeLock::downgrade(&lock, w).expect("list-rw downgrades");
+        let r = lock.downgrade(w).expect("list-rw downgrades");
         assert!(lock.try_read_dyn(Range::new(50, 150)).is_some());
         assert!(lock.try_write_dyn(Range::new(0, 100)).is_none());
         drop(r);
@@ -819,19 +580,17 @@ mod tests {
 
     #[test]
     fn readers_share_survives_the_erasure() {
-        let rw: Box<dyn DynRwRangeLock> = Box::new(RwListRangeLock::new());
+        let rw: BoxedLock = Box::new(RwListRangeLock::new());
         assert!(rw.readers_share());
-        let ex: Box<dyn DynRwRangeLock> = Box::new(ExclusiveAsRw::new(ListRangeLock::new()));
+        let ex: BoxedLock = Box::new(ListRangeLock::new());
         assert!(!ex.readers_share());
     }
 
     #[test]
     fn boxed_two_phase_lock_round_trips_the_protocol() {
-        use crate::twophase::{AsyncRwRangeLock, BatchMode, TwoPhaseRwRangeLock};
-
-        let locks: Vec<Box<dyn DynTwoPhaseRwRangeLock>> = vec![
+        let locks: Vec<BoxedLock> = vec![
             Box::new(RwListRangeLock::new()),
-            Box::new(ExclusiveAsRw::new(ListRangeLock::new())),
+            Box::new(ListRangeLock::new()),
         ];
         for lock in locks {
             // Uncontended enqueue/poll resolves; the write guard still
@@ -868,7 +627,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "DynPending passed back")]
     fn foreign_pending_token_panics_on_downcast() {
-        let lock: Box<dyn DynTwoPhaseRwRangeLock> = Box::new(RwListRangeLock::new());
+        let lock: BoxedLock = Box::new(RwListRangeLock::new());
         // A token whose concrete type no lock in this crate issues: the
         // downcast must panic loudly instead of corrupting the lock.
         let mut foreign = DynPending(Box::new(0u8));
@@ -878,7 +637,7 @@ mod tests {
     #[test]
     fn dyn_guard_release_crosses_threads() {
         use std::sync::Arc;
-        let lock: Arc<Box<dyn DynRwRangeLock>> = Arc::new(Box::new(RwListRangeLock::new()));
+        let lock: Arc<BoxedLock> = Arc::new(Box::new(RwListRangeLock::new()));
         let g = lock.write(Range::new(0, 10));
         // `DynRangeGuard` is Send: ship it to another thread for release.
         // (Scoped borrow: the guard borrows the lock, so join before drop.)

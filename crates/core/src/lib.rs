@@ -62,14 +62,20 @@
 //! drop(r2);
 //! ```
 //!
-//! The [`RangeLock`] and [`RwRangeLock`] traits abstract over this crate's
-//! locks and the baseline implementations in the `rl-baselines` crate so that
-//! higher layers (the VM-subsystem simulator, the range-locked skip list, the
-//! benchmark harness) are generic over the lock implementation. When the lock
-//! must instead be chosen at *runtime* — one variable holding any variant —
-//! the object-safe [`dynlock`] layer ([`DynRangeLock`], [`DynRwRangeLock`],
-//! boxed [`DynRangeGuard`]s) erases the guard types, and the variant registry
-//! in `rl-baselines` enumerates every paper variant by name on top of it.
+//! Three traits abstract over this crate's locks and the baselines in the
+//! `rl-baselines` crate, so that higher layers (the VM-subsystem simulator,
+//! the range-locked skip list, the file layer, the benchmark harness) are
+//! generic over the lock:
+//!
+//! * [`RwRangeLock`] — blocking and `try_` acquisition in both modes. The
+//!   exclusive [`ListRangeLock`] implements it too, with reads that are
+//!   exclusive underneath (`readers_share() == false`);
+//! * [`TwoPhaseRwRangeLock`] — the cancellable enqueue / poll / cancel
+//!   protocol, and the timed, batched and async acquisition built on it;
+//! * [`DynTwoPhaseRwRangeLock`] — the object-safe mirror of both, for a lock
+//!   chosen at *runtime*: it erases the guard and token types into boxed
+//!   [`DynRangeGuard`]s and [`DynPending`]s, and the variant registry in
+//!   `rl-baselines` enumerates every paper variant by name on top of it.
 
 #![deny(missing_docs)]
 
@@ -85,18 +91,14 @@ pub mod traits;
 pub mod twophase;
 pub mod waits_for;
 
-pub use dynlock::{
-    DynAcquireFuture, DynAsyncRwRangeLock, DynPending, DynRangeGuard, DynRangeLock, DynRwRangeLock,
-    DynTwoPhaseRwRangeLock,
-};
+pub use dynlock::{DynPending, DynRangeGuard, DynTwoPhaseRwRangeLock};
 pub use fairness::{FairnessGate, FairnessPermit};
 pub use list_core::{CompatMode, ListCore, ListLockConfig, PendingAcquire};
 pub use mutex_list::{ListRangeGuard, ListRangeLock};
 pub use range::Range;
 pub use rw_list::{RwListRangeGuard, RwListRangeLock};
-pub use traits::{ExclusiveAsRw, RangeLock, RwRangeLock};
+pub use traits::RwRangeLock;
 pub use twophase::{
-    AcquireFuture, AcquireManyFuture, AsyncRangeLock, AsyncRwRangeLock, BatchMode, ReadFuture,
-    RwBatchGuard, TwoPhaseRangeLock, TwoPhaseRwRangeLock, WriteFuture,
+    AcquireManyFuture, BatchMode, ReadFuture, RwBatchGuard, TwoPhaseRwRangeLock, WriteFuture,
 };
 pub use waits_for::{Deadlock, WaitGraph};

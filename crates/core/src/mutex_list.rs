@@ -11,7 +11,9 @@
 //! The whole protocol — including the Section 4.5 empty-list fast path and
 //! the Section 4.3 fairness gate — lives in [`crate::list_core::ListCore`],
 //! shared with the reader-writer variant; this module is the thin
-//! exclusive-mode façade over it.
+//! exclusive-mode façade over it. Through the [`RwRangeLock`] and
+//! [`TwoPhaseRwRangeLock`] traits the lock is an ordinary reader-writer
+//! range lock whose reads are exclusive too (`readers_share() == false`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,8 +23,8 @@ use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
 
 use crate::list_core::{Exclusive, ListCore, PendingAcquire, RawGuard};
 use crate::range::Range;
-use crate::traits::RangeLock;
-use crate::twophase::TwoPhaseRangeLock;
+use crate::traits::RwRangeLock;
+use crate::twophase::TwoPhaseRwRangeLock;
 
 pub use crate::list_core::ListLockConfig;
 
@@ -114,8 +116,8 @@ impl<P: WaitPolicy> ListRangeLock<P> {
     /// Attempts to acquire `range` without waiting.
     ///
     /// Returns `None` if an overlapping range is currently held; see the
-    /// [trait-level contract](RangeLock::try_acquire) for the spurious-failure
-    /// and no-residue guarantees. This entry point is not part of the paper's
+    /// [`try_` contract](crate::traits#try_-semantics-normative) for the
+    /// spurious-failure and no-residue guarantees. This entry point is not part of the paper's
     /// API but falls out of the design for free and is convenient for callers
     /// that can do other useful work.
     pub fn try_acquire(&self, range: Range) -> Option<ListRangeGuard<'_, P>> {
@@ -128,7 +130,7 @@ impl<P: WaitPolicy> ListRangeLock<P> {
     /// (leaving no residue) once `timeout` elapses. Under the [`Block`]
     /// policy the waiter deadline-parks; the spinning policies check the
     /// clock between backoff steps. Also available generically through
-    /// [`TwoPhaseRangeLock::acquire_timeout`].
+    /// [`TwoPhaseRwRangeLock::write_timeout`].
     ///
     /// [`Block`]: rl_sync::wait::Block
     pub fn acquire_timeout(
@@ -136,7 +138,7 @@ impl<P: WaitPolicy> ListRangeLock<P> {
         range: Range,
         timeout: Duration,
     ) -> Option<ListRangeGuard<'_, P>> {
-        TwoPhaseRangeLock::acquire_timeout(self, range, timeout)
+        TwoPhaseRwRangeLock::write_timeout(self, range, timeout)
     }
 
     /// Returns `true` if no range is currently held.
@@ -207,15 +209,39 @@ impl<P: WaitPolicy> std::fmt::Debug for ListRangeGuard<'_, P> {
     }
 }
 
-impl<P: WaitPolicy> RangeLock for ListRangeLock<P> {
-    type Guard<'a> = ListRangeGuard<'a, P>;
+/// Shared and exclusive acquisitions are the same exclusive acquisition.
+impl<P: WaitPolicy> RwRangeLock for ListRangeLock<P> {
+    type ReadGuard<'a> = ListRangeGuard<'a, P>;
+    type WriteGuard<'a> = ListRangeGuard<'a, P>;
 
-    fn acquire(&self, range: Range) -> Self::Guard<'_> {
-        ListRangeLock::acquire(self, range)
+    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
+        self.acquire(range)
     }
 
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        ListRangeLock::try_acquire(self, range)
+    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
+        self.acquire(range)
+    }
+
+    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn downgrade<'a>(
+        &'a self,
+        guard: Self::WriteGuard<'a>,
+    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
+        // An exclusive hold trivially satisfies a shared one, so the
+        // "downgrade" is the identity: the range stays continuously
+        // (over-)protected.
+        Ok(guard)
+    }
+
+    fn readers_share(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -223,20 +249,33 @@ impl<P: WaitPolicy> RangeLock for ListRangeLock<P> {
     }
 }
 
-impl<P: WaitPolicy> TwoPhaseRangeLock for ListRangeLock<P> {
-    type Pending = PendingAcquire;
+impl<P: WaitPolicy> TwoPhaseRwRangeLock for ListRangeLock<P> {
+    type PendingRead = PendingAcquire;
+    type PendingWrite = PendingAcquire;
 
-    fn enqueue_acquire(&self, range: Range) -> Self::Pending {
+    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
         self.core.enqueue(range, false)
     }
 
-    fn poll_acquire<'a>(&'a self, pending: &mut Self::Pending) -> Option<Self::Guard<'a>> {
+    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
+        self.poll_write(pending)
+    }
+
+    fn cancel_read(&self, pending: &mut Self::PendingRead) {
+        self.core.cancel_acquire(pending);
+    }
+
+    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
+        self.core.enqueue(range, false)
+    }
+
+    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
         self.core
             .poll_acquire(pending)
             .map(|raw| ListRangeGuard { lock: self, raw })
     }
 
-    fn cancel_acquire(&self, pending: &mut Self::Pending) {
+    fn cancel_write(&self, pending: &mut Self::PendingWrite) {
         self.core.cancel_acquire(pending);
     }
 
@@ -248,7 +287,11 @@ impl<P: WaitPolicy> TwoPhaseRangeLock for ListRangeLock<P> {
         P::wait_until_deadline(self.core.wait_queue(), cond, deadline)
     }
 
-    fn pending_wait_key(&self, pending: &Self::Pending) -> u64 {
+    fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
+        pending.wait_key()
+    }
+
+    fn pending_write_wait_key(&self, pending: &Self::PendingWrite) -> u64 {
         pending.wait_key()
     }
 
@@ -515,14 +558,14 @@ mod tests {
 
     #[test]
     fn trait_object_usage_via_generics() {
-        fn exercise<L: RangeLock>(lock: &L) {
-            let g = lock.acquire(Range::new(0, 1));
+        fn exercise<L: RwRangeLock>(lock: &L) {
+            let g = lock.write(Range::new(0, 1));
             drop(g);
-            let g = lock.acquire_full();
+            let g = lock.write_full();
             drop(g);
         }
         let lock = ListRangeLock::new();
         exercise(&lock);
-        assert_eq!(RangeLock::name(&lock), "list-ex");
+        assert_eq!(RwRangeLock::name(&lock), "list-ex");
     }
 }

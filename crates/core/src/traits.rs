@@ -1,17 +1,23 @@
-//! Common range-lock interfaces.
+//! The common range-lock interface.
 //!
 //! Every range-lock implementation in this workspace — the paper's list-based
-//! locks in this crate and the tree / segment baselines in `rl-baselines` —
-//! implements one (or both) of these traits so that the VM simulator, the
-//! skip list and the benchmark harness can be written once and parameterized
-//! over the lock. (For callers that need runtime dispatch instead — one
-//! variable holding *any* variant — see the [`crate::dynlock`] layer.)
+//! locks in this crate, the tree / segment baselines and the stock semaphore
+//! in `rl-baselines` — implements [`RwRangeLock`], so that the VM simulator,
+//! the skip list, the file layer and the benchmark harness can be written
+//! once and parameterized over the lock. An exclusive-only lock (`list-ex`,
+//! `lustre-ex`) is simply an `RwRangeLock` whose reads are exclusive too:
+//! [`RwRangeLock::readers_share`] is `false` and a "downgrade" is the
+//! identity. The cancellable, timed, batched and async acquisition surface
+//! sits on top in [`crate::twophase::TwoPhaseRwRangeLock`]; callers that need
+//! runtime dispatch — one variable holding *any* variant — use
+//! [`crate::dynlock::DynTwoPhaseRwRangeLock`].
 //!
 //! # `try_` semantics (normative)
 //!
-//! The bounded acquisition methods ([`RangeLock::try_acquire`],
-//! [`RwRangeLock::try_read`], [`RwRangeLock::try_write`]) share one contract,
-//! specified here once for every implementation in the workspace:
+//! The bounded acquisition methods ([`RwRangeLock::try_read`],
+//! [`RwRangeLock::try_write`], and the inherent `try_acquire` of the
+//! exclusive locks) share one contract, specified here once for every
+//! implementation in the workspace:
 //!
 //! * **Never waits.** A `try_` call performs a bounded amount of work and
 //!   returns; it never spins on, yields to, or parks behind another thread
@@ -32,41 +38,6 @@
 //!   asserts this for every registry variant.
 
 use crate::range::Range;
-
-/// An exclusive-access range lock: disjoint ranges may be held concurrently,
-/// overlapping ranges serialize.
-pub trait RangeLock: Send + Sync {
-    /// RAII guard releasing the range when dropped.
-    type Guard<'a>
-    where
-        Self: 'a;
-
-    /// Acquires exclusive access to `range`, waiting for any overlapping
-    /// holder to release.
-    fn acquire(&self, range: Range) -> Self::Guard<'_>;
-
-    /// Acquires the entire resource (the `[0 .. 2^64-1]` full-range call of
-    /// the kernel API).
-    fn acquire_full(&self) -> Self::Guard<'_> {
-        self.acquire(Range::FULL)
-    }
-
-    /// Attempts to acquire exclusive access to `range` without waiting.
-    ///
-    /// Returns `None` if an overlapping range is held; see the
-    /// [module-level `try_` contract](self#try_-semantics-normative) for the
-    /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails, so implementations that cannot provide a bounded attempt
-    /// remain valid; every lock in this workspace overrides it.
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        let _ = range;
-        None
-    }
-
-    /// Short, stable identifier used by the benchmark harness
-    /// (e.g. `"list-ex"`, `"lustre-ex"`).
-    fn name(&self) -> &'static str;
-}
 
 /// A reader-writer range lock: overlapping *reader* ranges may be held
 /// concurrently; a writer range excludes every overlapping reader or writer.
@@ -98,25 +69,17 @@ pub trait RwRangeLock: Send + Sync {
 
     /// Attempts to acquire `range` in shared mode without waiting.
     ///
-    /// Returns `None` if a conflicting (writer) range is held; see the
+    /// Returns `None` if a conflicting range is held; see the
     /// [module-level `try_` contract](self#try_-semantics-normative) for the
-    /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails.
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        let _ = range;
-        None
-    }
+    /// spurious-failure and no-residue guarantees.
+    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>>;
 
     /// Attempts to acquire `range` in exclusive mode without waiting.
     ///
     /// Returns `None` if any overlapping range is held; see the
     /// [module-level `try_` contract](self#try_-semantics-normative) for the
-    /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails.
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        let _ = range;
-        None
-    }
+    /// spurious-failure and no-residue guarantees.
+    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>>;
 
     /// Atomically downgrades a held write guard to a read guard without
     /// releasing the range.
@@ -137,10 +100,10 @@ pub trait RwRangeLock: Send + Sync {
     /// Whether overlapping *shared* acquisitions of this lock can actually
     /// be held concurrently.
     ///
-    /// `true` (the default) for genuine reader-writer locks. Adapters that
-    /// serialize everything — [`ExclusiveAsRw`] over the exclusive-only
-    /// variants — return `false`: there, two "readers" of overlapping ranges
-    /// conflict even though their *modes* are compatible. Deadlock-detection
+    /// `true` (the default) for genuine reader-writer locks. The
+    /// exclusive-only locks (`list-ex`, `lustre-ex`) return `false`: there,
+    /// two "readers" of overlapping ranges conflict even though their *modes*
+    /// are compatible. Deadlock-detection
     /// layers must consult this when deriving waits-for edges, otherwise a
     /// reader blocked behind another reader looks unblockable and its cycle
     /// is invisible.
@@ -149,134 +112,8 @@ pub trait RwRangeLock: Send + Sync {
     }
 
     /// Short, stable identifier used by the benchmark harness
-    /// (e.g. `"list-rw"`, `"kernel-rw"`, `"pnova-rw"`).
+    /// (e.g. `"list-ex"`, `"list-rw"`, `"kernel-rw"`, `"pnova-rw"`).
     fn name(&self) -> &'static str;
-}
-
-/// Adapts an exclusive [`RangeLock`] to the [`RwRangeLock`] interface by
-/// treating every acquisition — shared or exclusive — as exclusive.
-///
-/// This lets the file subsystem and the `filebench` sweep drive the
-/// exclusive-only variants (`list-ex`, `lustre-ex`) through the same generic
-/// code as the reader-writer locks, exposing exactly the cost the paper
-/// motivates: readers that could share instead serialize.
-///
-/// # Examples
-///
-/// ```
-/// use range_lock::{ExclusiveAsRw, ListRangeLock, Range, RwRangeLock};
-///
-/// let lock = ExclusiveAsRw::new(ListRangeLock::new());
-/// let r = lock.read(Range::new(0, 10)); // really exclusive
-/// drop(r);
-/// let _w = lock.write(Range::new(0, 10));
-/// ```
-#[derive(Debug, Default)]
-pub struct ExclusiveAsRw<L: RangeLock> {
-    inner: L,
-}
-
-impl<L: RangeLock> ExclusiveAsRw<L> {
-    /// Wraps an exclusive lock.
-    pub fn new(inner: L) -> Self {
-        ExclusiveAsRw { inner }
-    }
-
-    /// Returns the wrapped lock.
-    pub fn into_inner(self) -> L {
-        self.inner
-    }
-
-    /// Borrows the wrapped lock.
-    pub fn inner(&self) -> &L {
-        &self.inner
-    }
-}
-
-impl<L: RangeLock> RwRangeLock for ExclusiveAsRw<L> {
-    type ReadGuard<'a>
-        = L::Guard<'a>
-    where
-        Self: 'a;
-    type WriteGuard<'a>
-        = L::Guard<'a>
-    where
-        Self: 'a;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        self.inner.acquire(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        self.inner.acquire(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        self.inner.try_acquire(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        self.inner.try_acquire(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        // Read and write guards are the same exclusive guard here, and an
-        // exclusive hold trivially satisfies a shared one, so a "downgrade"
-        // is the identity: the range stays continuously (over-)protected.
-        Ok(guard)
-    }
-
-    fn readers_share(&self) -> bool {
-        // Every acquisition is exclusive underneath: overlapping "readers"
-        // serialize, and waits-for edges must treat them as conflicting.
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-impl<L: RangeLock + crate::twophase::TwoPhaseRangeLock> crate::twophase::TwoPhaseRwRangeLock
-    for ExclusiveAsRw<L>
-{
-    type PendingRead = L::Pending;
-    type PendingWrite = L::Pending;
-
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
-        self.inner.enqueue_acquire(range)
-    }
-
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
-        self.inner.poll_acquire(pending)
-    }
-
-    fn cancel_read(&self, pending: &mut Self::PendingRead) {
-        self.inner.cancel_acquire(pending);
-    }
-
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
-        self.inner.enqueue_acquire(range)
-    }
-
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
-        self.inner.poll_acquire(pending)
-    }
-
-    fn cancel_write(&self, pending: &mut Self::PendingWrite) {
-        self.inner.cancel_acquire(pending);
-    }
-
-    fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
-        self.inner.wait_queue()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        self.inner.wait_deadline(cond, deadline)
-    }
 }
 
 #[cfg(test)]
@@ -287,38 +124,21 @@ mod tests {
     #[test]
     fn default_full_range_methods_delegate() {
         let lock = ListRangeLock::new();
-        let g = RangeLock::acquire_full(&lock);
+        let g = RwRangeLock::write_full(&lock);
         assert_eq!(g.range(), Range::FULL);
     }
 
     #[test]
-    fn default_try_methods_fail() {
-        // A minimal implementation that does not override the try methods.
-        struct AlwaysBlocks;
-        struct NoGuard;
-        impl RangeLock for AlwaysBlocks {
-            type Guard<'a> = NoGuard;
-            fn acquire(&self, _range: Range) -> NoGuard {
-                NoGuard
-            }
-            fn name(&self) -> &'static str {
-                "always-blocks"
-            }
-        }
-        assert!(AlwaysBlocks.try_acquire(Range::new(0, 1)).is_none());
-    }
-
-    #[test]
-    fn exclusive_as_rw_serializes_readers() {
-        let lock = ExclusiveAsRw::new(ListRangeLock::new());
+    fn exclusive_lock_serializes_readers() {
+        let lock = ListRangeLock::new();
         assert_eq!(RwRangeLock::name(&lock), "list-ex");
+        assert!(!lock.readers_share());
         let r = lock.read(Range::new(0, 10));
-        // A second "reader" conflicts: the adapter is exclusive underneath.
+        // A second "reader" conflicts: the lock is exclusive underneath.
         assert!(lock.try_read(Range::new(5, 15)).is_none());
         assert!(lock.try_write(Range::new(5, 15)).is_none());
         drop(r);
         assert!(lock.try_read(Range::new(5, 15)).is_some());
-        assert!(lock.inner().is_quiescent());
-        let _ = lock.into_inner();
+        assert!(lock.is_quiescent());
     }
 }

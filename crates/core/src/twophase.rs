@@ -1,11 +1,11 @@
-//! The cancellable two-phase acquisition protocol and the async range-lock
-//! API built on it.
+//! The cancellable two-phase acquisition protocol and the timed, batched and
+//! async range-lock API built on it.
 //!
-//! The blocking traits ([`RangeLock`], [`RwRangeLock`]) model a waiter as a
-//! thread: `acquire` does not return until the range is held, so at M
-//! concurrent owners the caller burns M threads, and a waiter cannot give up
-//! — there is no way out of `acquire` except owning the range. This module
-//! decomposes acquisition into an explicit, resumable protocol:
+//! The blocking [`RwRangeLock`] methods model a waiter as a thread: `read` /
+//! `write` do not return until the range is held, so at M concurrent owners
+//! the caller burns M threads, and a waiter cannot give up — there is no way
+//! out except owning the range. [`TwoPhaseRwRangeLock`] decomposes
+//! acquisition into an explicit, resumable protocol:
 //!
 //! 1. **enqueue** — register the request (allocate its node). No waiting.
 //! 2. **poll** — drive the request as far as it can get without waiting:
@@ -19,17 +19,21 @@
 //!    API fundamentally cannot express: a blocking waiter can only leave by
 //!    owning the range first (or leaking its node).
 //!
-//! Two consumers are layered on the protocol here:
+//! Three consumers are layered on the protocol here, all provided methods of
+//! the trait:
 //!
-//! * **Timed acquisition** — [`TwoPhaseRangeLock::acquire_timeout`] and the
+//! * **Timed acquisition** — the
 //!   [`read_timeout`](TwoPhaseRwRangeLock::read_timeout) /
 //!   [`write_timeout`](TwoPhaseRwRangeLock::write_timeout) pair: poll, wait
 //!   with a deadline (under the `Block` policy a deadline *park*, under the
 //!   spinning policies a clock-checked backoff loop), cancel on expiry.
-//! * **Async acquisition** — [`AsyncRangeLock::acquire_async`] /
-//!   [`AsyncRwRangeLock::read_async`] / [`AsyncRwRangeLock::write_async`]
-//!   return cancellation-safe futures ([`AcquireFuture`], [`ReadFuture`],
-//!   [`WriteFuture`]) resolving to the ordinary RAII guards. Dropping a
+//! * **Batched acquisition** — [`acquire_many`](TwoPhaseRwRangeLock::acquire_many),
+//!   the all-or-nothing [`try_acquire_many`](TwoPhaseRwRangeLock::try_acquire_many)
+//!   and [`acquire_many_async`](TwoPhaseRwRangeLock::acquire_many_async).
+//! * **Async acquisition** — [`read_async`](TwoPhaseRwRangeLock::read_async) /
+//!   [`write_async`](TwoPhaseRwRangeLock::write_async) return
+//!   cancellation-safe futures ([`ReadFuture`], [`WriteFuture`]) resolving
+//!   to the ordinary RAII guards. Dropping a
 //!   future mid-wait cancels the pending request and leaves no residue, so
 //!   `select!`-style races and task aborts are safe. A waiter costs a waker
 //!   registration, not a thread: millions of pending owners can be
@@ -64,166 +68,24 @@ use rl_sync::wait::WaitQueue;
 use rl_sync::KEY_ANY;
 
 use crate::range::Range;
-use crate::traits::{RangeLock, RwRangeLock};
+use crate::traits::RwRangeLock;
 
-/// An exclusive range lock that supports the cancellable two-phase
-/// acquisition protocol (enqueue / poll / cancel).
+/// A range lock that supports the cancellable two-phase acquisition
+/// protocol (enqueue / poll / cancel) in both modes, and the timed, batched
+/// and async acquisition surface built on it.
 ///
-/// Implementations must uphold, for every method, the protocol contract:
+/// Implementations must uphold, for the read and write method families
+/// alike, the protocol contract:
 ///
 /// * `poll_*` never waits (no spinning, yielding, or parking) and never
 ///   fails spuriously — `None` means a conflicting holder was observed;
 /// * after `poll_*` returns `None`, some release/downgrade/cancel wake of
-///   [`TwoPhaseRangeLock::wait_queue`] is guaranteed once the observed
+///   [`TwoPhaseRwRangeLock::wait_queue`] is guaranteed once the observed
 ///   conflict clears (so a waiter registered per the queue's
 ///   snapshot-register-recheck protocol cannot sleep forever);
 /// * `cancel_*` leaves the lock as if the request had never been made
 ///   (pending-state residue is unlinked and successors are woken) and is
 ///   idempotent.
-pub trait TwoPhaseRangeLock: RangeLock {
-    /// Token holding one pending acquisition's state between polls.
-    type Pending: Send + Unpin;
-
-    /// **Enqueue**: starts a two-phase acquisition of `range`.
-    fn enqueue_acquire(&self, range: Range) -> Self::Pending;
-
-    /// **Poll**: drives `pending` as far as it can get without waiting;
-    /// returns the guard once the range is held.
-    fn poll_acquire<'a>(&'a self, pending: &mut Self::Pending) -> Option<Self::Guard<'a>>;
-
-    /// **Cancel**: abandons `pending`, unlinking any published node and
-    /// waking successors. Idempotent; must be called (or the poll driven to
-    /// completion) before the token is dropped.
-    fn cancel_acquire(&self, pending: &mut Self::Pending);
-
-    /// The queue suspended acquisitions wait on; every release wakes it.
-    fn wait_queue(&self) -> &WaitQueue;
-
-    /// Waits through this lock's wait policy until `cond` holds or
-    /// `deadline` passes (returning `cond`'s final value). Backs the timed
-    /// acquisition methods; `cond` is the queue-generation check of the
-    /// two-phase wait loop.
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool;
-
-    /// The wait key of the conflict that blocked `pending`'s most recent
-    /// poll — the blocking node's address — or `KEY_ANY` when the lock
-    /// cannot name one. The timed and async layers suspend under this key
-    /// so only that conflict's release wakes them; the default keeps
-    /// implementations without per-conflict keys on the broadcast paths.
-    fn pending_wait_key(&self, pending: &Self::Pending) -> u64 {
-        let _ = pending;
-        KEY_ANY
-    }
-
-    /// The keyed form of [`TwoPhaseRangeLock::wait_deadline`]: waits parked
-    /// under `key` (see `rl_sync::wait`), so the waiter is woken by its
-    /// blocker's release instead of by every release on the lock. The
-    /// default ignores the key.
-    fn wait_deadline_keyed(
-        &self,
-        key: u64,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        let _ = key;
-        self.wait_deadline(cond, deadline)
-    }
-
-    /// Acquires `range` like [`RangeLock::acquire`], but gives up — leaving
-    /// no residue — once `timeout` elapses. An expired attempt is recorded
-    /// as a cancel in the lock's wait statistics.
-    fn acquire_timeout(&self, range: Range, timeout: Duration) -> Option<Self::Guard<'_>>
-    where
-        Self: Sized,
-    {
-        timeout_loop(
-            self,
-            range,
-            timeout,
-            self.wait_queue(),
-            |key, cond, deadline| self.wait_deadline_keyed(key, cond, deadline),
-            self.enqueue_acquire(range),
-            |pending| self.pending_wait_key(pending),
-            Self::poll_acquire,
-            Self::cancel_acquire,
-        )
-    }
-
-    /// Acquires every range in `ranges` (a *batch*), waiting as needed, and
-    /// returns the guards in input order.
-    ///
-    /// Ranges are acquired in **ascending address order** whatever the input
-    /// order, so two concurrent batches can never deadlock each other — the
-    /// classic ordered-acquisition argument. (A batch can still deadlock
-    /// against a caller composing individual acquisitions in descending
-    /// order; the `rl-file` lock table layers cycle detection on top for
-    /// that.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if two items of the batch overlap: the second acquisition
-    /// would block on the first forever.
-    fn acquire_many(&self, ranges: &[Range]) -> Vec<Self::Guard<'_>>
-    where
-        Self: Sized,
-    {
-        let mut acquired: Vec<(usize, Self::Guard<'_>)> = Vec::with_capacity(ranges.len());
-        for i in batch_order(ranges) {
-            acquired.push((i, self.acquire(ranges[i])));
-        }
-        acquired.sort_by_key(|(i, _)| *i);
-        acquired.into_iter().map(|(_, g)| g).collect()
-    }
-
-    /// Attempts to acquire every range in `ranges` without waiting,
-    /// **all-or-nothing**: on the first conflicting item the batch cancels
-    /// its pending acquisition, releases everything it already took, records
-    /// a batch rollback in the lock's wait statistics, and returns `None` —
-    /// no residue remains.
-    ///
-    /// Each item is driven through one enqueue → poll step of the two-phase
-    /// protocol (never-spurious, unlike `try_acquire`), with `cancel` as the
-    /// rollback primitive; items are attempted in ascending address order
-    /// and the guards are returned in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two items of the batch overlap.
-    fn try_acquire_many(&self, ranges: &[Range]) -> Option<Vec<Self::Guard<'_>>>
-    where
-        Self: Sized,
-    {
-        let mut acquired: Vec<(usize, Self::Guard<'_>)> = Vec::with_capacity(ranges.len());
-        for i in batch_order(ranges) {
-            let mut pending = self.enqueue_acquire(ranges[i]);
-            match self.poll_acquire(&mut pending) {
-                Some(guard) => acquired.push((i, guard)),
-                None => {
-                    self.cancel_acquire(&mut pending);
-                    let queue = self.wait_queue();
-                    queue.record_cancel();
-                    queue.record_batch_rollback();
-                    rl_obs::trace::emit_here(
-                        rl_obs::EventKind::BatchRollback,
-                        queue.trace_id(),
-                        ranges[i].start,
-                        ranges[i].end,
-                    );
-                    // Dropping the guards acquired so far rolls them back.
-                    return None;
-                }
-            }
-        }
-        acquired.sort_by_key(|(i, _)| *i);
-        Some(acquired.into_iter().map(|(_, g)| g).collect())
-    }
-}
-
-/// A reader-writer range lock that supports the cancellable two-phase
-/// acquisition protocol in both modes.
-///
-/// See [`TwoPhaseRangeLock`] for the protocol contract, which applies to
-/// the read and write method families alike.
 pub trait TwoPhaseRwRangeLock: RwRangeLock {
     /// Token holding one pending shared acquisition's state between polls.
     type PendingRead: Send + Unpin;
@@ -236,7 +98,9 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     /// **Poll**: drives a pending shared acquisition without waiting.
     fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>>;
 
-    /// **Cancel**: abandons a pending shared acquisition. Idempotent.
+    /// **Cancel**: abandons a pending shared acquisition, unlinking any
+    /// published node and waking successors. Idempotent; must be called (or
+    /// the poll driven to completion) before the token is dropped.
     fn cancel_read(&self, pending: &mut Self::PendingRead);
 
     /// **Enqueue**: starts a two-phase exclusive acquisition of `range`.
@@ -252,25 +116,33 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     fn wait_queue(&self) -> &WaitQueue;
 
     /// Waits through this lock's wait policy until `cond` holds or
-    /// `deadline` passes; see [`TwoPhaseRangeLock::wait_deadline`].
+    /// `deadline` passes (returning `cond`'s final value). Backs the timed
+    /// acquisition methods; `cond` is the queue-generation check of the
+    /// two-phase wait loop.
     fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool;
 
-    /// The wait key of the conflict blocking a pending shared acquisition;
-    /// see [`TwoPhaseRangeLock::pending_wait_key`].
+    /// The wait key of the conflict that blocked a pending shared
+    /// acquisition's most recent poll — the blocking node's address — or
+    /// `KEY_ANY` when the lock cannot name one. The timed and async layers
+    /// suspend under this key so only that conflict's release wakes them;
+    /// the default keeps implementations without per-conflict keys on the
+    /// broadcast paths.
     fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
         let _ = pending;
         KEY_ANY
     }
 
     /// The wait key of the conflict blocking a pending exclusive
-    /// acquisition; see [`TwoPhaseRangeLock::pending_wait_key`].
+    /// acquisition; see [`TwoPhaseRwRangeLock::pending_read_wait_key`].
     fn pending_write_wait_key(&self, pending: &Self::PendingWrite) -> u64 {
         let _ = pending;
         KEY_ANY
     }
 
-    /// The keyed form of [`TwoPhaseRwRangeLock::wait_deadline`]; see
-    /// [`TwoPhaseRangeLock::wait_deadline_keyed`].
+    /// The keyed form of [`TwoPhaseRwRangeLock::wait_deadline`]: waits
+    /// parked under `key` (see `rl_sync::wait`), so the waiter is woken by
+    /// its blocker's release instead of by every release on the lock. The
+    /// default ignores the key.
     fn wait_deadline_keyed(
         &self,
         key: u64,
@@ -282,7 +154,8 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     }
 
     /// Acquires `range` in shared mode like [`RwRangeLock::read`], but gives
-    /// up — leaving no residue — once `timeout` elapses.
+    /// up — leaving no residue — once `timeout` elapses. An expired attempt
+    /// is recorded as a cancel in the lock's wait statistics.
     fn read_timeout(&self, range: Range, timeout: Duration) -> Option<Self::ReadGuard<'_>>
     where
         Self: Sized,
@@ -291,10 +164,8 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
             self,
             range,
             timeout,
-            self.wait_queue(),
-            |key, cond, deadline| self.wait_deadline_keyed(key, cond, deadline),
             self.enqueue_read(range),
-            |pending| self.pending_read_wait_key(pending),
+            Self::pending_read_wait_key,
             Self::poll_read,
             Self::cancel_read,
         )
@@ -310,22 +181,43 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
             self,
             range,
             timeout,
-            self.wait_queue(),
-            |key, cond, deadline| self.wait_deadline_keyed(key, cond, deadline),
             self.enqueue_write(range),
-            |pending| self.pending_write_wait_key(pending),
+            Self::pending_write_wait_key,
             Self::poll_write,
             Self::cancel_write,
         )
+    }
+
+    /// Acquires `range` in shared mode asynchronously: the returned future
+    /// suspends (registering its task's waker) instead of blocking a thread,
+    /// and resolves to the same guard [`RwRangeLock::read`] returns.
+    /// Dropping the future cancels the acquisition cleanly.
+    fn read_async(&self, range: Range) -> ReadFuture<'_, Self>
+    where
+        Self: Sized,
+    {
+        ReadFuture::new(self, range)
+    }
+
+    /// Acquires `range` in exclusive mode asynchronously; see
+    /// [`TwoPhaseRwRangeLock::read_async`] for the waiting and cancellation
+    /// semantics.
+    fn write_async(&self, range: Range) -> WriteFuture<'_, Self>
+    where
+        Self: Sized,
+    {
+        WriteFuture::new(self, range)
     }
 
     /// Acquires every `(range, mode)` item of a batch, waiting as needed,
     /// and returns the guards in input order.
     ///
     /// Items are acquired in **ascending address order** whatever the input
-    /// order, so concurrent batches never deadlock each other; see
-    /// [`TwoPhaseRangeLock::acquire_many`] for the ordering argument and the
-    /// remaining caller-composed hazard.
+    /// order, so two concurrent batches can never deadlock each other — the
+    /// classic ordered-acquisition argument. (A batch can still deadlock
+    /// against a caller composing individual acquisitions in descending
+    /// order; the `rl-file` lock table layers cycle detection on top for
+    /// that.)
     ///
     /// # Panics
     ///
@@ -355,9 +247,10 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     /// back (cancel the pending acquisition, release everything taken,
     /// record a batch rollback) and returns `None`, leaving no residue.
     ///
-    /// See [`TwoPhaseRangeLock::try_acquire_many`]; this is its two-mode
-    /// counterpart, driven through `enqueue_read`/`poll_read`/`cancel_read`
-    /// and the write triple.
+    /// Each item is driven through one enqueue → poll step of the two-phase
+    /// protocol (never-spurious, unlike `try_read`/`try_write`), with
+    /// `cancel` as the rollback primitive; items are attempted in ascending
+    /// address order and the guards are returned in input order.
     ///
     /// # Panics
     ///
@@ -479,23 +372,19 @@ fn batch_order(ranges: &[Range]) -> Vec<usize> {
     order
 }
 
-/// The shared enqueue → poll → deadline-wait → cancel loop behind every
-/// timed acquisition method. The method-family triple comes in as plain
-/// function values so the loop serves both two-phase traits (and both modes
-/// of the reader-writer one); `range` exists only to stamp the timeout
-/// trace event, hence the argument count.
-#[allow(clippy::too_many_arguments)]
-fn timeout_loop<'a, L: ?Sized, Pend, G>(
+/// The shared enqueue → poll → deadline-wait → cancel loop behind both
+/// timed acquisition methods. The mode's method family comes in as plain
+/// function values; `range` exists only to stamp the timeout trace event.
+fn timeout_loop<'a, L: TwoPhaseRwRangeLock, Pend, G>(
     lock: &'a L,
     range: Range,
     timeout: Duration,
-    queue: &WaitQueue,
-    wait: impl Fn(u64, &mut dyn FnMut() -> bool, Instant) -> bool,
     pending: Pend,
-    wait_key: impl Fn(&Pend) -> u64,
+    wait_key: impl Fn(&L, &Pend) -> u64,
     mut poll: impl FnMut(&'a L, &mut Pend) -> Option<G>,
     cancel: impl FnOnce(&L, &mut Pend),
 ) -> Option<G> {
+    let queue = lock.wait_queue();
     let deadline = Instant::now() + timeout;
     let mut pending = pending;
     loop {
@@ -520,16 +409,16 @@ fn timeout_loop<'a, L: ?Sized, Pend, G>(
         // observed — re-derived every iteration, because the blocker can be
         // a different node each time — so under the `Block` policy only
         // that conflict's release (or a broadcast) wakes us.
-        let key = wait_key(&pending);
-        wait(key, &mut || queue.generation() != gen, deadline);
+        let key = wait_key(lock, &pending);
+        lock.wait_deadline_keyed(key, &mut || queue.generation() != gen, deadline);
     }
 }
 
-/// Declares one cancellation-safe acquisition future over a two-phase trait.
+/// Declares the cancellation-safe acquisition future of one mode.
 macro_rules! acquire_future {
     (
         $(#[$doc:meta])*
-        $name:ident, $trait_:ident, $pending:ident, $guard:ident,
+        $name:ident, $pending:ident, $guard:ident,
         $enqueue:ident, $poll:ident, $cancel:ident, $wait_key:ident
     ) => {
         $(#[$doc])*
@@ -542,7 +431,7 @@ macro_rules! acquire_future {
         /// cancel is recorded in the lock's wait statistics. Dropping it
         /// after it resolved is just dropping the guard.
         #[must_use = "futures do nothing unless polled"]
-        pub struct $name<'a, L: $trait_> {
+        pub struct $name<'a, L: TwoPhaseRwRangeLock> {
             lock: &'a L,
             /// `None` once resolved (the pending token was consumed).
             pending: Option<L::$pending>,
@@ -554,7 +443,7 @@ macro_rules! acquire_future {
             key: u64,
         }
 
-        impl<'a, L: $trait_> $name<'a, L> {
+        impl<'a, L: TwoPhaseRwRangeLock> $name<'a, L> {
             pub(crate) fn new(lock: &'a L, range: Range) -> Self {
                 $name {
                     lock,
@@ -565,7 +454,7 @@ macro_rules! acquire_future {
             }
         }
 
-        impl<'a, L: $trait_> Future for $name<'a, L> {
+        impl<'a, L: TwoPhaseRwRangeLock> Future for $name<'a, L> {
             type Output = L::$guard<'a>;
 
             fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -603,7 +492,7 @@ macro_rules! acquire_future {
             }
         }
 
-        impl<L: $trait_> Drop for $name<'_, L> {
+        impl<L: TwoPhaseRwRangeLock> Drop for $name<'_, L> {
             fn drop(&mut self) {
                 if let Some(mut pending) = self.pending.take() {
                     let queue = self.lock.wait_queue();
@@ -614,7 +503,7 @@ macro_rules! acquire_future {
             }
         }
 
-        impl<L: $trait_> std::fmt::Debug for $name<'_, L> {
+        impl<L: TwoPhaseRwRangeLock> std::fmt::Debug for $name<'_, L> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 f.debug_struct(stringify!($name))
                     .field("resolved", &self.pending.is_none())
@@ -625,23 +514,9 @@ macro_rules! acquire_future {
 }
 
 acquire_future!(
-    /// Future returned by [`AsyncRangeLock::acquire_async`]: an exclusive
+    /// Future returned by [`TwoPhaseRwRangeLock::read_async`]: a shared
     /// range acquisition in flight.
-    AcquireFuture,
-    TwoPhaseRangeLock,
-    Pending,
-    Guard,
-    enqueue_acquire,
-    poll_acquire,
-    cancel_acquire,
-    pending_wait_key
-);
-
-acquire_future!(
-    /// Future returned by [`AsyncRwRangeLock::read_async`]: a shared range
-    /// acquisition in flight.
     ReadFuture,
-    TwoPhaseRwRangeLock,
     PendingRead,
     ReadGuard,
     enqueue_read,
@@ -651,10 +526,9 @@ acquire_future!(
 );
 
 acquire_future!(
-    /// Future returned by [`AsyncRwRangeLock::write_async`]: an exclusive
-    /// range acquisition in flight.
+    /// Future returned by [`TwoPhaseRwRangeLock::write_async`]: an
+    /// exclusive range acquisition in flight.
     WriteFuture,
-    TwoPhaseRwRangeLock,
     PendingWrite,
     WriteGuard,
     enqueue_write,
@@ -765,40 +639,6 @@ impl<L: TwoPhaseRwRangeLock> std::fmt::Debug for AcquireManyFuture<'_, L> {
     }
 }
 
-/// The async face of an exclusive range lock. Blanket-implemented for every
-/// [`TwoPhaseRangeLock`]; never implement it by hand.
-pub trait AsyncRangeLock: TwoPhaseRangeLock + Sized {
-    /// Acquires `range` asynchronously: the returned future suspends
-    /// (registering its task's waker) instead of blocking a thread, and
-    /// resolves to the same guard [`RangeLock::acquire`] returns. Dropping
-    /// the future cancels the acquisition cleanly.
-    fn acquire_async(&self, range: Range) -> AcquireFuture<'_, Self> {
-        AcquireFuture::new(self, range)
-    }
-}
-
-impl<L: TwoPhaseRangeLock> AsyncRangeLock for L {}
-
-/// The async face of a reader-writer range lock. Blanket-implemented for
-/// every [`TwoPhaseRwRangeLock`]; never implement it by hand.
-pub trait AsyncRwRangeLock: TwoPhaseRwRangeLock + Sized {
-    /// Acquires `range` in shared mode asynchronously; see
-    /// [`AsyncRangeLock::acquire_async`] for the waiting and cancellation
-    /// semantics.
-    fn read_async(&self, range: Range) -> ReadFuture<'_, Self> {
-        ReadFuture::new(self, range)
-    }
-
-    /// Acquires `range` in exclusive mode asynchronously; see
-    /// [`AsyncRangeLock::acquire_async`] for the waiting and cancellation
-    /// semantics.
-    fn write_async(&self, range: Range) -> WriteFuture<'_, Self> {
-        WriteFuture::new(self, range)
-    }
-}
-
-impl<L: TwoPhaseRwRangeLock> AsyncRwRangeLock for L {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,7 +674,7 @@ mod tests {
     fn uncontended_future_resolves_on_first_poll() {
         let lock = ListRangeLock::new();
         let (_, waker) = counting_waker();
-        let mut fut = lock.acquire_async(Range::new(0, 10));
+        let mut fut = lock.write_async(Range::new(0, 10));
         let guard = match poll_once(&mut fut, &waker) {
             Poll::Ready(g) => g,
             Poll::Pending => panic!("uncontended acquisition must resolve immediately"),
@@ -850,7 +690,7 @@ mod tests {
         let lock = ListRangeLock::new();
         let held = lock.acquire(Range::new(0, 100));
         let (count, waker) = counting_waker();
-        let mut fut = lock.acquire_async(Range::new(50, 150));
+        let mut fut = lock.write_async(Range::new(50, 150));
         assert!(poll_once(&mut fut, &waker).is_pending());
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
         drop(held); // the release hook must deliver the wake
@@ -905,7 +745,6 @@ mod tests {
 
     #[test]
     fn acquire_many_returns_guards_in_input_order() {
-        let lock = RwListRangeLock::new();
         // Deliberately descending input: acquisition reorders ascending,
         // the result must come back in input order.
         let items = [
@@ -913,6 +752,7 @@ mod tests {
             (Range::new(0, 100), BatchMode::Read),
             (Range::new(100, 200), BatchMode::Write),
         ];
+        let lock = RwListRangeLock::new();
         let guards = lock.acquire_many(&items);
         assert_eq!(guards.len(), 3);
         assert!(!guards[0].is_read());
@@ -921,25 +761,32 @@ mod tests {
         drop(guards);
         assert!(lock.is_quiescent());
 
-        // Exclusive-trait flavour.
+        // list-ex row: the same batch, every item exclusive underneath.
         let ex = ListRangeLock::new();
-        let guards = ex.acquire_many(&[Range::new(50, 60), Range::new(0, 10)]);
-        assert_eq!(guards[0].range(), Range::new(50, 60));
-        assert_eq!(guards[1].range(), Range::new(0, 10));
+        let guards = ex.acquire_many(&items);
+        let ranges: Vec<Range> = guards
+            .iter()
+            .map(|g| match g {
+                RwBatchGuard::Read(g) | RwBatchGuard::Write(g) => g.range(),
+            })
+            .collect();
+        assert_eq!(ranges, items.map(|(r, _)| r));
+        assert!(guards[1].is_read());
+        assert_eq!(ex.held_ranges(), 3);
         drop(guards);
         assert!(ex.is_quiescent());
     }
 
     #[test]
     fn try_acquire_many_is_all_or_nothing() {
-        let stats = Arc::new(WaitStats::new("batch"));
-        let lock = RwListRangeLock::new().with_stats(Arc::clone(&stats));
-        let held = lock.write(Range::new(150, 250));
         // Second item conflicts: the whole batch must roll back.
         let items = [
             (Range::new(0, 100), BatchMode::Write),
             (Range::new(200, 300), BatchMode::Read),
         ];
+        let stats = Arc::new(WaitStats::new("batch"));
+        let lock = RwListRangeLock::new().with_stats(Arc::clone(&stats));
+        let held = lock.write(Range::new(150, 250));
         assert!(lock.try_acquire_many(&items).is_none());
         let snap = stats.snapshot();
         assert_eq!(snap.batch_rollbacks, 1);
@@ -950,16 +797,16 @@ mod tests {
         assert!(lock.try_acquire_many(&items).is_some());
         assert!(lock.is_quiescent());
 
-        // Exclusive-trait flavour, same protocol.
-        let ex = ListRangeLock::new();
-        let held = ex.acquire(Range::new(25, 75));
-        assert!(ex
-            .try_acquire_many(&[Range::new(0, 30), Range::new(100, 130)])
-            .is_none());
+        // list-ex row, same protocol: a held *read* conflicts with a read
+        // item, because readers serialize on the exclusive lock.
+        let stats = Arc::new(WaitStats::new("batch-ex"));
+        let ex = ListRangeLock::new().with_stats(Arc::clone(&stats));
+        let held = ex.read(Range::new(150, 250));
+        assert!(ex.try_acquire_many(&items).is_none());
+        assert_eq!(stats.snapshot().batch_rollbacks, 1);
+        drop(ex.try_write(Range::new(0, 100)).expect("rolled back"));
         drop(held);
-        assert!(ex
-            .try_acquire_many(&[Range::new(0, 30), Range::new(100, 130)])
-            .is_some());
+        assert!(ex.try_acquire_many(&items).is_some());
         assert!(ex.is_quiescent());
     }
 
@@ -1043,20 +890,17 @@ mod tests {
             range,
             Range::new(25, 75),
         );
-        // The exclusive lock through the adapter (and the exclusive trait).
+        // list-ex row, and its inherent `acquire_timeout` (the paper-API
+        // spelling of `write_timeout`).
         let ex = ListRangeLock::new();
+        run(&ex, range, Range::new(25, 75));
         let held = ex.acquire(Range::new(0, 50));
-        assert!(TwoPhaseRangeLock::acquire_timeout(
-            &ex,
-            Range::new(25, 75),
-            Duration::from_millis(10)
-        )
-        .is_none());
+        assert!(ex
+            .acquire_timeout(Range::new(25, 75), Duration::from_millis(10))
+            .is_none());
         drop(held);
         assert!(ex
             .acquire_timeout(Range::new(25, 75), Duration::from_millis(100))
             .is_some());
-        let adapted = crate::ExclusiveAsRw::new(ListRangeLock::new());
-        run(&adapted, range, Range::new(25, 75));
     }
 }

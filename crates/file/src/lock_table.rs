@@ -55,7 +55,7 @@
 //!   re-lock (`lock`) keeps every exclusive tile that lies entirely inside
 //!   the re-locked span *held*, flipping it in place through
 //!   [`RwRangeLock::downgrade`] when the underlying lock supports it (the
-//!   list lock does; so do the `ExclusiveAsRw`-adapted locks, trivially).
+//!   list lock does; so do the exclusive-only locks, trivially).
 //!   Those bytes stay continuously protected: no other writer can slip in,
 //!   exactly as in the kernel. Locks without downgrade support (e.g.
 //!   `kernel-rw`) fall back to the release-and-re-acquire path with its
@@ -88,7 +88,7 @@
 //!   cycle that a lucky scheduling would have dissolved. The gap and
 //!   rollback acquisitions that restore coverage an owner already held are
 //!   *not* checked — they re-take spans the owner released moments earlier.
-//!   Over an `ExclusiveAsRw`-adapted lock, overlapping *shared* records
+//!   Over an exclusive-only lock, overlapping *shared* records
 //!   conflict too ([`RwRangeLock::readers_share`] is `false`), and the edge
 //!   derivation accounts for it — a reader parked behind a reader is a real
 //!   wait there and can complete a real cycle.
@@ -130,7 +130,7 @@ use std::sync::{Arc, Mutex};
 use std::task::Poll;
 use std::time::{Duration, Instant};
 
-use range_lock::{AsyncRwRangeLock, Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
+use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
 
 /// How long a blocked synchronous acquisition waits before re-deriving its
 /// waits-for edges. Bounds the detection latency of a cycle whose closing
@@ -2031,13 +2031,14 @@ mod tests {
     #[test]
     fn downgrade_works_over_a_registry_built_lock() {
         // The in-place downgrade must survive the dynamic-dispatch erasure:
-        // a registry-built list-rw behind `Box<dyn DynRwRangeLock>` downgrades
-        // exactly like the statically typed lock.
-        use rl_baselines::registry;
+        // a registry-built list-rw behind `Box<dyn DynTwoPhaseRwRangeLock>`
+        // downgrades exactly like the statically typed lock.
+        use rl_baselines::registry::{self, RegistryConfig};
+        use rl_sync::WaitPolicyKind;
         let t = Arc::new(LockTable::new(
             registry::by_name("list-rw")
                 .expect("paper variant")
-                .build_twophase_default(),
+                .build_twophase(WaitPolicyKind::SpinThenYield, &RegistryConfig::default()),
         ));
         let mut a = t.owner("a");
         a.lock(Range::new(0, 100), LockMode::Exclusive).unwrap();

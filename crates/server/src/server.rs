@@ -38,12 +38,16 @@ use crate::transport::{Conn, FrameQueue};
 
 /// The registry-built lock every table and file in one server uses.
 ///
-/// A thin newtype over the boxed dyn two-phase lock rather than a type
-/// alias: session futures are spawned as `'static` tasks, and rustc's
-/// auto-trait checking over-generalizes the lifetime of a bare
-/// `Box<dyn Trait>` inside such a future ("implementation is not general
-/// enough"). Wrapping it in a nominal type keeps the trait obligations
-/// lifetime-free.
+/// A thin newtype over the boxed dyn lock rather than the alias
+/// `type DynLock = Box<dyn DynTwoPhaseRwRangeLock>`: session futures are
+/// spawned as `'static` tasks, and with the alias the spawn of
+/// `session::run` behind [`Server::attach`] fails to compile with
+/// "implementation of `RwRangeLock` is not general enough" — rustc's
+/// auto-trait check over the future over-generalizes the object lifetime of
+/// the bare `Box<dyn …>`. Making the `Box` impls generic over that lifetime
+/// (`+ '_`) does not help either: the same spawn then fails on both
+/// `RwRangeLock` and `Send`. The nominal type keeps the trait obligations
+/// lifetime-free; it forwards the trait methods and nothing else.
 pub struct DynLock(Box<dyn DynTwoPhaseRwRangeLock>);
 
 impl RwRangeLock for DynLock {

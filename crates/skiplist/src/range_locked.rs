@@ -16,8 +16,8 @@
 //! type so both variants measure the same traversal work.
 //!
 //! The lock type is generic over [`RwRangeLock`], so any of the five
-//! registry variants (under any wait policy) can back the list: exclusive
-//! locks come wrapped in [`range_lock::ExclusiveAsRw`], and
+//! registry variants (under any wait policy) can back the list — the
+//! exclusive locks implement it with exclusive reads — and
 //! [`DynRangeSkipList::from_registry`] builds a dynamically dispatched list
 //! straight from a `rl_baselines::registry` variant name. Updates always
 //! take *write* acquisitions — the skip list never reads under the lock
@@ -26,7 +26,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use range_lock::{DynRwRangeLock, Range, RwListRangeLock, RwRangeLock};
+use range_lock::{DynTwoPhaseRwRangeLock, Range, RwListRangeLock, RwRangeLock};
 use rl_baselines::registry::{self, RegistryConfig};
 use rl_sync::wait::WaitPolicyKind;
 
@@ -55,7 +55,7 @@ pub struct RangeSkipList<L: RwRangeLock> {
 }
 
 /// A [`RangeSkipList`] over a registry-built, dynamically dispatched lock.
-pub type DynRangeSkipList = RangeSkipList<Box<dyn DynRwRangeLock>>;
+pub type DynRangeSkipList = RangeSkipList<Box<dyn DynTwoPhaseRwRangeLock>>;
 
 impl DynRangeSkipList {
     /// Builds a skip list over the registry variant `variant` waiting via
@@ -70,7 +70,7 @@ impl DynRangeSkipList {
             ..RegistryConfig::default()
         };
         let spec = registry::by_name(variant)?;
-        Some(Self::with_lock(spec.build(wait, &config)))
+        Some(Self::with_lock(spec.build_twophase(wait, &config)))
     }
 }
 
@@ -327,7 +327,7 @@ impl<L: RwRangeLock> Drop for RangeSkipList<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use range_lock::{ExclusiveAsRw, ListRangeLock};
+    use range_lock::ListRangeLock;
     use rl_baselines::TreeRangeLock;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn sequential_semantics_with_tree_lock() {
-        let set = RangeSkipList::with_lock(ExclusiveAsRw::new(TreeRangeLock::new()));
+        let set = RangeSkipList::with_lock(TreeRangeLock::new());
         assert!(set.insert(3));
         assert!(set.insert(1));
         assert!(set.insert(2));
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn exclusive_adapter_preserves_lock_name() {
-        let set = RangeSkipList::with_lock(ExclusiveAsRw::new(ListRangeLock::new()));
+        let set = RangeSkipList::with_lock(ListRangeLock::new());
         assert!(set.insert(1));
         assert_eq!(set.lock_name(), "list-ex");
     }
@@ -462,9 +462,7 @@ mod tests {
     fn concurrent_workload_with_tree_lock_backend() {
         const THREADS: usize = 4;
         const OPS: usize = 1_000;
-        let set = Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            TreeRangeLock::new(),
-        )));
+        let set = Arc::new(RangeSkipList::with_lock(TreeRangeLock::new()));
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let set = Arc::clone(&set);

@@ -188,6 +188,13 @@ impl<P: WaitPolicy> RwSemaphore<P> {
         self.queue.parks()
     }
 
+    /// The queue this semaphore's waiters park on; every release wakes it.
+    /// Lets callers that poll with `try_read`/`try_write` suspend on the
+    /// semaphore's own wakeups.
+    pub fn wait_queue(&self) -> &WaitQueue {
+        &self.queue
+    }
+
     #[inline]
     fn try_read_fast(&self) -> bool {
         // Writer preference: do not barge past waiting writers.

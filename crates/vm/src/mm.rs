@@ -46,7 +46,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use range_lock::{DynRwRangeLock, Range};
+use range_lock::{DynTwoPhaseRwRangeLock, Range, RwRangeLock};
 use rl_baselines::registry::{self, RegistryConfig};
 use rl_obs::trace;
 use rl_obs::EventKind;
@@ -318,7 +318,7 @@ pub struct Mm {
     /// Boxed dynamic dispatch: each acquisition costs one vtable call and a
     /// boxed guard, paid identically by every strategy row — relative
     /// comparisons between rows are unaffected.
-    lock: Box<dyn DynRwRangeLock>,
+    lock: Box<dyn DynTwoPhaseRwRangeLock>,
     seq: SeqCount,
     space: UnsafeCell<MemorySpace>,
     counters: VmCounters,
@@ -457,7 +457,7 @@ impl Mm {
     /// Structural operation: always takes the full-range write acquisition.
     pub fn mmap(&self, addr: Option<u64>, len: u64, prot: Protection) -> Result<u64, VmError> {
         self.counters.mmaps.fetch_add(1, Ordering::Relaxed);
-        let guard = self.lock.write_dyn(Range::FULL);
+        let guard = self.lock.write(Range::FULL);
         self.seq.write_begin();
         // SAFETY: Full-range write acquisition held (see the `Sync` comment).
         let space = unsafe { &mut *self.space.get() };
@@ -472,7 +472,7 @@ impl Mm {
     /// Structural operation: always takes the full-range write acquisition.
     pub fn munmap(&self, addr: u64, len: u64) -> Result<(), VmError> {
         self.counters.munmaps.fetch_add(1, Ordering::Relaxed);
-        let guard = self.lock.write_dyn(Range::FULL);
+        let guard = self.lock.write(Range::FULL);
         self.seq.write_begin();
         // SAFETY: Full-range write acquisition held.
         let space = unsafe { &mut *self.space.get() };
@@ -551,7 +551,7 @@ impl Mm {
             range.start,
             range.end,
         );
-        let guard = self.lock.read_dyn(range);
+        let guard = self.lock.read(range);
         trace::emit_sampled(EventKind::Granted, self.fault_trace, range.start, range.end);
         // The generation read under the read acquisition: any structural
         // change bumps it before its write guard is released, so a cache
@@ -599,7 +599,7 @@ impl Mm {
 
     /// Number of VMAs currently mapped.
     pub fn vma_count(&self) -> usize {
-        let guard = self.lock.read_dyn(Range::FULL);
+        let guard = self.lock.read(Range::FULL);
         // SAFETY: Read acquisition held.
         let count = unsafe { &*self.space.get() }.vma_count();
         drop(guard);
@@ -608,7 +608,7 @@ impl Mm {
 
     /// Total mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        let guard = self.lock.read_dyn(Range::FULL);
+        let guard = self.lock.read(Range::FULL);
         // SAFETY: Read acquisition held.
         let bytes = unsafe { &*self.space.get() }.mapped_bytes();
         drop(guard);
@@ -618,7 +618,7 @@ impl Mm {
     /// Returns the `(start, end, protection)` triples of every VMA, for tests
     /// and debugging.
     pub fn vma_snapshot(&self) -> Vec<(u64, u64, Protection)> {
-        let guard = self.lock.read_dyn(Range::FULL);
+        let guard = self.lock.read(Range::FULL);
         // SAFETY: Read acquisition held.
         let space = unsafe { &*self.space.get() };
         let out = space
@@ -632,7 +632,7 @@ impl Mm {
     }
 
     fn mprotect_full(&self, addr: u64, len: u64, prot: Protection) -> Result<(), VmError> {
-        let guard = self.lock.write_dyn(Range::FULL);
+        let guard = self.lock.write(Range::FULL);
         self.seq.write_begin();
         // SAFETY: Full-range write acquisition held.
         let space = unsafe { &mut *self.space.get() };
@@ -662,7 +662,7 @@ impl Mm {
             // Step 1: locate the VMA under a read acquisition of the input
             // range, and remember the sequence number.
             let input_range = Range::new(addr, end);
-            let read_guard = self.lock.read_dyn(input_range);
+            let read_guard = self.lock.read(input_range);
             // SAFETY: Read acquisition held.
             let space = unsafe { &*self.space.get() };
             let vma = match space.find_vma(addr) {
@@ -683,7 +683,7 @@ impl Mm {
 
             // Step 2: upgrade to a write acquisition of the enclosing VMA plus
             // one page on each side, then validate that nothing changed.
-            let write_guard = self.lock.write_dyn(refined);
+            let write_guard = self.lock.write(refined);
             if self.seq.read() != seq || vma.start() != v_start || vma.end() != v_end {
                 self.counters.spec_retries.fetch_add(1, Ordering::Relaxed);
                 drop(write_guard);
@@ -1026,6 +1026,12 @@ mod tests {
                 }
                 failures
             }));
+        }
+        // Let the faulting threads get going first, so the storm really
+        // overlaps them (a fast mutator can otherwise finish before any of
+        // them is scheduled).
+        while mm.stats().page_faults == 0 {
+            std::thread::yield_now();
         }
         // The mutator grows and shrinks the region above the stable prefix.
         for round in 0..300u64 {

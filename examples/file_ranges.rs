@@ -15,9 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use range_lock::{
-    ExclusiveAsRw, ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
-};
+use range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock};
 use rl_baselines::TreeRangeLock;
 use rl_file::{FileStore, LockMode, LockTable, RangeFile};
 use rl_sync::LabeledStats;
@@ -101,10 +99,10 @@ fn main() {
     let store = FileStore::new(|| RangeFile::new(RwListRangeLock::new()));
     run_store("list-rw", &store, threads);
     // ...the exclusive list lock (readers serialize)...
-    let store = FileStore::new(|| RangeFile::new(ExclusiveAsRw::new(ListRangeLock::new())));
+    let store = FileStore::new(|| RangeFile::new(ListRangeLock::new()));
     run_store("list-ex", &store, threads);
     // ...and the Lustre/Kara tree baseline the paper starts from.
-    let store = FileStore::new(|| RangeFile::new(ExclusiveAsRw::new(TreeRangeLock::new())));
+    let store = FileStore::new(|| RangeFile::new(TreeRangeLock::new()));
     run_store("lustre-ex", &store, threads);
 
     // Per-operation wait accounting, the Figures 7-8 analogue for files.

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use range_lock::{ExclusiveAsRw, ListRangeLock};
+use range_lock::ListRangeLock;
 use rl_skiplist::{DynRangeSkipList, OptimisticSkipList, RangeSkipList};
 use rl_sync::wait::WaitPolicyKind;
 
@@ -89,9 +89,7 @@ fn main() {
     );
     workload(
         "range-list",
-        Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            ListRangeLock::new(),
-        ))),
+        Arc::new(RangeSkipList::with_lock(ListRangeLock::new())),
         |s, k| s.insert(k),
         |s, k| s.remove(k),
         |s, k| s.contains(k),
@@ -112,7 +110,7 @@ fn main() {
     );
 
     // Quick correctness cross-check of the range-locked variant.
-    let set = RangeSkipList::with_lock(ExclusiveAsRw::new(ListRangeLock::new()));
+    let set = RangeSkipList::with_lock(ListRangeLock::new());
     assert!(set.insert(10));
     assert!(!set.insert(10));
     assert!(set.contains(10));

@@ -1,12 +1,13 @@
 //! Cancellation-safety and exclusion suite for the async range-lock API.
 //!
 //! The dangerous part of a cancellable acquisition protocol is the cancel:
-//! a dropped `AcquireFuture` must unlink whatever it had already published,
-//! wake the waiters behind it, and leave *nothing* — no node, no tree
-//! entry, no segment hold, no waker registration — or later acquisitions
-//! wedge forever. These tests storm exactly that path for all five registry
-//! variants, through both the generic (`AsyncRwRangeLock`) and the
-//! dynamic (`DynAsyncRwRangeLock`) APIs, and verify the absence of residue
+//! a dropped acquisition future must unlink whatever it had already
+//! published, wake the waiters behind it, and leave *nothing* — no node, no
+//! tree entry, no segment hold, no waker registration — or later
+//! acquisitions wedge forever. These tests storm exactly that path for all
+//! five registry variants, through both statically typed locks and boxed
+//! registry-built (`Box<dyn DynTwoPhaseRwRangeLock>`) ones, via the
+//! `TwoPhaseRwRangeLock` async methods, and verify the absence of residue
 //! two ways: the wait-stats counters (waker registrations and cancels must
 //! both be non-zero — the async path must not read zero like the pre-fix
 //! counters would) and a follow-up *full-range* exclusive acquisition,
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use range_locks_repro::range_lock::{
-    AsyncRangeLock, AsyncRwRangeLock, ListRangeLock, Range, RwListRangeLock,
+    ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
 };
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_exec::{block_on, TaskPool};
@@ -50,6 +51,22 @@ fn poll_once<F: Future + Unpin>(fut: &mut F, waker: &Waker) -> Poll<F::Output> {
     Pin::new(fut).poll(&mut cx)
 }
 
+/// Polls `fut` once; if it suspends, polls it again (re-registering the
+/// waker) and then abandons it mid-wait. Returns whether it suspended.
+fn poll_then_abandon<F: Future + Unpin>(mut fut: F, waker: &Waker) -> bool {
+    match poll_once(&mut fut, waker) {
+        Poll::Ready(guard) => {
+            drop(guard);
+            false
+        }
+        Poll::Pending => {
+            let _ = poll_once(&mut fut, waker);
+            drop(fut);
+            true
+        }
+    }
+}
+
 /// Tiny deterministic rng (xorshift), one per thread.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -67,7 +84,7 @@ fn cancellation_storm_all_variants_dyn() {
     // poll them into the suspended state, and drop them mid-wait.
     for spec in registry::all() {
         for wait in [WaitPolicyKind::SpinThenYield, WaitPolicyKind::Block] {
-            let lock = spec.build_async(wait, &CONFIG);
+            let lock = spec.build_twophase(wait, &CONFIG);
             let stop = AtomicBool::new(false);
             std::thread::scope(|s| {
                 let holder = s.spawn(|| {
@@ -75,7 +92,7 @@ fn cancellation_storm_all_variants_dyn() {
                     while !stop.load(Ordering::Acquire) {
                         // Segment-aligned center range (8 slots/segment) so
                         // pnova-rw conflicts are honest, not false sharing.
-                        let g = lock.write_dyn(Range::new(96, 160));
+                        let g = lock.write(Range::new(96, 160));
                         held += 1;
                         std::hint::black_box(&g);
                         drop(g);
@@ -92,21 +109,12 @@ fn cancellation_storm_all_variants_dyn() {
                         for i in 0..400u64 {
                             let start = 64 + (xorshift(&mut rng) % 16) * 8;
                             let range = Range::new(start, start + 64);
-                            let mut fut = if i % 3 == 0 {
-                                lock.read_async_dyn(range)
+                            let suspended_now = if i % 3 == 0 {
+                                poll_then_abandon(lock.read_async(range), &waker)
                             } else {
-                                lock.write_async_dyn(range)
+                                poll_then_abandon(lock.write_async(range), &waker)
                             };
-                            match poll_once(&mut fut, &waker) {
-                                Poll::Ready(guard) => drop(guard),
-                                Poll::Pending => {
-                                    suspended += 1;
-                                    // Poll again (re-registers the waker),
-                                    // then abandon mid-wait.
-                                    let _ = poll_once(&mut fut, &waker);
-                                    drop(fut);
-                                }
-                            }
+                            suspended += u64::from(suspended_now);
                         }
                         suspended
                     }));
@@ -123,11 +131,11 @@ fn cancellation_storm_all_variants_dyn() {
             // No residue: the full range is immediately acquirable through
             // both faces of the lock.
             let g = lock
-                .try_write_dyn(Range::new(0, 256))
+                .try_write(Range::new(0, 256))
                 .unwrap_or_else(|| panic!("{}: cancelled futures left residue", spec.name));
             drop(g);
             let waker = counting_waker();
-            let mut fut = lock.write_async_dyn(Range::new(0, 256));
+            let mut fut = lock.write_async(Range::new(0, 256));
             match poll_once(&mut fut, &waker) {
                 Poll::Ready(g) => drop(g),
                 Poll::Pending => panic!("{}: async full-range acquire blocked", spec.name),
@@ -219,12 +227,12 @@ fn cancellation_storm_generic_api_counts_wakers_and_cancels() {
     );
     assert!(lock.is_quiescent());
 
-    // Same check for the exclusive lock through AsyncRangeLock.
+    // Same check for the exclusive lock.
     let ex_stats = Arc::new(WaitStats::new("async-storm-ex"));
     let ex = ListRangeLock::new().with_stats(Arc::clone(&ex_stats));
     let held = ex.acquire(Range::new(0, 100));
     let waker = counting_waker();
-    let mut fut = ex.acquire_async(Range::new(50, 150));
+    let mut fut = ex.write_async(Range::new(50, 150));
     assert!(poll_once(&mut fut, &waker).is_pending());
     drop(fut);
     drop(held);
@@ -241,57 +249,67 @@ fn async_exclusion_holds_on_a_task_pool() {
     // storms. (No awaits inside the critical section, so the counters
     // observe real exclusion windows.)
     for spec in registry::all() {
-        let lock: Arc<_> = Arc::new(spec.build_async(WaitPolicyKind::Block, &CONFIG));
-        let pool = TaskPool::new(2);
-        let readers_inside = Arc::new(AtomicI64::new(0));
-        let writer_inside = Arc::new(AtomicI64::new(0));
-        let violations = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..8usize)
-            .map(|t| {
-                let lock = Arc::clone(&lock);
-                let readers_inside = Arc::clone(&readers_inside);
-                let writer_inside = Arc::clone(&writer_inside);
-                let violations = Arc::clone(&violations);
-                pool.spawn(async move {
-                    let mut rng = 0xabcdef12u64.wrapping_add(t as u64);
-                    for i in 0..100u64 {
-                        // All ranges overlap the center; segment-aligned.
-                        let start = 64 + (xorshift(&mut rng) % 8) * 8;
-                        let range = Range::new(start, start + 128);
-                        if (t as u64 + i).is_multiple_of(3) {
-                            let g = lock.write_async_dyn(range).await;
-                            writer_inside.fetch_add(1, Ordering::SeqCst);
-                            if writer_inside.load(Ordering::SeqCst) != 1
-                                || readers_inside.load(Ordering::SeqCst) != 0
-                            {
-                                violations.fetch_add(1, Ordering::SeqCst);
-                            }
-                            writer_inside.fetch_sub(1, Ordering::SeqCst);
-                            drop(g);
-                        } else {
-                            let g = lock.read_async_dyn(range).await;
-                            readers_inside.fetch_add(1, Ordering::SeqCst);
-                            if writer_inside.load(Ordering::SeqCst) != 0 {
-                                violations.fetch_add(1, Ordering::SeqCst);
-                            }
-                            readers_inside.fetch_sub(1, Ordering::SeqCst);
-                            drop(g);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        assert_eq!(
-            violations.load(Ordering::SeqCst),
-            0,
-            "{}: async exclusion violated",
-            spec.name
+        async_exclusion_storm(
+            spec.name,
+            spec.build_twophase(WaitPolicyKind::Block, &CONFIG),
         );
-        assert!(lock.try_write_dyn(Range::new(0, 256)).is_some());
     }
+}
+
+/// One lock's async exclusion storm. Generic over the lock so the spawned
+/// tasks' `Send` bound is proven from the trait bounds: a concrete boxed dyn
+/// lock inside a spawned future trips rustc's "implementation is not general
+/// enough" auto-trait check.
+fn async_exclusion_storm<L: TwoPhaseRwRangeLock + 'static>(name: &str, lock: L) {
+    let lock = Arc::new(lock);
+    let pool = TaskPool::new(2);
+    let readers_inside = Arc::new(AtomicI64::new(0));
+    let writer_inside = Arc::new(AtomicI64::new(0));
+    let violations = Arc::new(AtomicU64::new(0));
+    let handles: Vec<_> = (0..8usize)
+        .map(|t| {
+            let lock = Arc::clone(&lock);
+            let readers_inside = Arc::clone(&readers_inside);
+            let writer_inside = Arc::clone(&writer_inside);
+            let violations = Arc::clone(&violations);
+            pool.spawn(async move {
+                let mut rng = 0xabcdef12u64.wrapping_add(t as u64);
+                for i in 0..100u64 {
+                    // All ranges overlap the center; segment-aligned.
+                    let start = 64 + (xorshift(&mut rng) % 8) * 8;
+                    let range = Range::new(start, start + 128);
+                    if (t as u64 + i).is_multiple_of(3) {
+                        let g = lock.write_async(range).await;
+                        writer_inside.fetch_add(1, Ordering::SeqCst);
+                        if writer_inside.load(Ordering::SeqCst) != 1
+                            || readers_inside.load(Ordering::SeqCst) != 0
+                        {
+                            violations.fetch_add(1, Ordering::SeqCst);
+                        }
+                        writer_inside.fetch_sub(1, Ordering::SeqCst);
+                        drop(g);
+                    } else {
+                        let g = lock.read_async(range).await;
+                        readers_inside.fetch_add(1, Ordering::SeqCst);
+                        if writer_inside.load(Ordering::SeqCst) != 0 {
+                            violations.fetch_add(1, Ordering::SeqCst);
+                        }
+                        readers_inside.fetch_sub(1, Ordering::SeqCst);
+                        drop(g);
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join();
+    }
+    assert_eq!(
+        violations.load(Ordering::SeqCst),
+        0,
+        "{name}: async exclusion violated"
+    );
+    assert!(lock.try_write(Range::new(0, 256)).is_some());
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! agreement can be asserted as equality, not merely implication.
 //!
 //! An **async-driver arm** replays the same programs through single polls of
-//! `acquire_async` / `write_async` futures: first-poll readiness must agree
+//! both locks' `write_async` futures: first-poll readiness must agree
 //! with the oracle exactly as `try_` does, and futures dropped while pending
 //! (the cancellation path) must leave no trace the oracle can detect.
 //!
@@ -35,9 +35,7 @@ use std::task::{Context, Poll, Waker};
 
 use proptest::prelude::*;
 
-use range_locks_repro::range_lock::{
-    AsyncRangeLock, AsyncRwRangeLock, ListRangeLock, Range, RwListRangeLock,
-};
+use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, TwoPhaseRwRangeLock};
 use range_locks_repro::rl_file::{LockMode, LockTable};
 use range_locks_repro::rl_sync::wait::{Block, Spin, SpinThenYield, WaitPolicy};
 
@@ -115,7 +113,7 @@ fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
     Pin::new(fut).poll(&mut cx)
 }
 
-/// Async-driver arm: the same programs, driven by polling `acquire_async` /
+/// Async-driver arm: the same programs, driven by polling both locks'
 /// `write_async` futures exactly once. Single-threaded, a first poll is as
 /// exact as a `try_`: `Ready` iff no conflicting range is held (the
 /// poll-driven traversal retries lost races internally and there are none
@@ -134,7 +132,7 @@ fn replay_async<P: WaitPolicy>(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::TryAcquire { start, len } => {
                 let range = Range::new(start, start + len);
                 let expected = oracle.iter().all(|held| !held.overlaps(&range));
-                let mut ex_fut = ex.acquire_async(range);
+                let mut ex_fut = ex.write_async(range);
                 let mut rw_fut = rw.write_async(range);
                 let ex_poll = poll_once(&mut ex_fut);
                 let rw_poll = poll_once(&mut rw_fut);

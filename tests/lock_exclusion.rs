@@ -1,22 +1,20 @@
 //! Cross-crate integration tests: every range-lock implementation in the
 //! workspace must provide the same exclusion guarantees, checked through the
-//! shared `RangeLock` / `RwRangeLock` traits — and, for the full variant
-//! matrix, through the dynamic registry (`rl_baselines::registry`), so the
-//! object-safe `DynRwRangeLock` path is exercised by the same storms.
+//! shared `RwRangeLock` trait — and, for the full variant matrix, through the
+//! dynamic registry (`rl_baselines::registry`), so the object-safe
+//! `DynTwoPhaseRwRangeLock` path is exercised by the same storms.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use range_locks_repro::range_lock::{
-    ListRangeLock, Range, RangeLock, RwListRangeLock, RwRangeLock,
-};
+use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_baselines::TreeRangeLock;
 use range_locks_repro::rl_sync::wait::WaitPolicyKind;
 
-/// Hammers an exclusive lock with overlapping ranges from many threads and
+/// Hammers an exclusive lock with overlapping writes from many threads and
 /// checks that two critical sections never overlap.
-fn check_exclusive<L: RangeLock + 'static>(lock: L) {
+fn check_exclusive<L: RwRangeLock + 'static>(lock: L) {
     const THREADS: usize = 6;
     const ITERS: usize = 400;
     let lock = Arc::new(lock);
@@ -30,7 +28,7 @@ fn check_exclusive<L: RangeLock + 'static>(lock: L) {
         handles.push(std::thread::spawn(move || {
             for i in 0..ITERS {
                 let start = ((t + i) % 7) as u64 * 10;
-                let guard = lock.acquire(Range::new(start, start + 80));
+                let guard = lock.write(Range::new(start, start + 80));
                 if inside.swap(true, Ordering::SeqCst) {
                     violations.fetch_add(1, Ordering::SeqCst);
                 }
@@ -47,8 +45,8 @@ fn check_exclusive<L: RangeLock + 'static>(lock: L) {
 }
 
 /// Hammers a reader-writer lock with overlapping ranges and checks the
-/// reader/writer exclusion matrix. (For exclusive locks adapted into the RW
-/// interface the checks still hold one-sidedly: their "readers" serialize.)
+/// reader/writer exclusion matrix. (For the exclusive locks the checks still
+/// hold one-sidedly: their "readers" serialize.)
 fn check_rw<L: RwRangeLock + 'static>(label: &str, lock: L) {
     const THREADS: usize = 6;
     const ITERS: usize = 400;
@@ -111,8 +109,8 @@ fn static_list_rw_lock_provides_reader_writer_exclusion() {
 #[test]
 fn every_registry_variant_provides_exclusion_under_every_wait_policy() {
     // The full matrix — 5 paper variants x 3 wait policies — through the
-    // dynamic registry: each storm drives a `Box<dyn DynRwRangeLock>` via its
-    // blanket `RwRangeLock` impl, so exclusion is verified end to end through
+    // dynamic registry: each storm drives a `Box<dyn DynTwoPhaseRwRangeLock>`
+    // via its `RwRangeLock` impl, so exclusion is verified end to end through
     // the same dynamic-dispatch path the benchmark harness uses.
     let config = RegistryConfig {
         span: 256,
@@ -123,7 +121,7 @@ fn every_registry_variant_provides_exclusion_under_every_wait_policy() {
         for wait in WaitPolicyKind::ALL {
             check_rw(
                 &format!("{}/{}", spec.name, wait.name()),
-                spec.build(wait, &config),
+                spec.build_twophase(wait, &config),
             );
         }
     }

@@ -11,7 +11,9 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, TwoPhaseRangeLock};
+use range_locks_repro::range_lock::{
+    BatchMode, ListRangeLock, Range, RwListRangeLock, TwoPhaseRwRangeLock,
+};
 use range_locks_repro::rl_file::{LockMode, LockTable};
 use range_locks_repro::rl_obs::{trace, EventKind, Recorder, RecorderConfig};
 use range_locks_repro::rl_sync::wait::Block;
@@ -207,9 +209,9 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     // Cancelled: enqueue behind a held conflicting range, then cancel.
     {
         let _held = lock.acquire(Range::new(200, 300));
-        let mut pending = lock.enqueue_acquire(Range::new(200, 300));
-        assert!(lock.poll_acquire(&mut pending).is_none());
-        lock.cancel_acquire(&mut pending);
+        let mut pending = lock.enqueue_write(Range::new(200, 300));
+        assert!(lock.poll_write(&mut pending).is_none());
+        lock.cancel_write(&mut pending);
     }
 
     // TimedOut: a timed acquisition that can never succeed (the same thread
@@ -225,7 +227,10 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     {
         let _held = lock.acquire(Range::new(600, 700));
         assert!(lock
-            .try_acquire_many(&[Range::new(500, 600), Range::new(600, 700)])
+            .try_acquire_many(&[
+                (Range::new(500, 600), BatchMode::Write),
+                (Range::new(600, 700), BatchMode::Write),
+            ])
             .is_none());
     }
 

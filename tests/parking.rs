@@ -27,7 +27,9 @@ use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use range_locks_repro::range_lock::{AsyncRwRangeLock, Range, RwListRangeLock};
+use range_locks_repro::range_lock::{
+    DynTwoPhaseRwRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
+};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_exec::TaskPool;
 use range_locks_repro::rl_sync::stats::WaitStats;
@@ -76,7 +78,7 @@ fn run_bounded(label: String, work: impl FnOnce() + Send + 'static) {
 }
 
 /// Overlapping mixed-mode storm through the dynamic registry face.
-fn storm_sync(label: String, lock: Box<dyn range_locks_repro::range_lock::DynRwRangeLock>) {
+fn storm_sync(label: String, lock: Box<dyn DynTwoPhaseRwRangeLock>) {
     let lock: Arc<_> = Arc::new(lock);
     run_bounded(label, move || {
         std::thread::scope(|s| {
@@ -90,9 +92,9 @@ fn storm_sync(label: String, lock: Box<dyn range_locks_repro::range_lock::DynRwR
                         let start = ((t * 11 + i * 3) % 8) as u64 * 8;
                         let range = Range::new(start, start + 80);
                         if (t + i) % 3 == 0 {
-                            drop(lock.write_dyn(range));
+                            drop(lock.write(range));
                         } else {
-                            drop(lock.read_dyn(range));
+                            drop(lock.read(range));
                         }
                     }
                 });
@@ -107,7 +109,7 @@ fn keyed_storm_every_variant_every_policy_sync() {
         for wait in WaitPolicyKind::ALL {
             storm_sync(
                 format!("{}/{}/sync", spec.name, wait.name()),
-                spec.build(wait, &CONFIG),
+                spec.build_twophase(wait, &CONFIG),
             );
         }
     }
@@ -125,7 +127,7 @@ fn keyed_storm_adaptive_pnova_rebalances_under_parking() {
     let spec = registry::by_name("pnova-rw").expect("pnova-rw is registered");
     storm_sync(
         "pnova-rw/block/adaptive".to_string(),
-        spec.build(WaitPolicyKind::Block, &config),
+        spec.build_twophase(WaitPolicyKind::Block, &config),
     );
 }
 
@@ -137,31 +139,42 @@ fn keyed_storm_every_variant_every_policy_async_on_task_pool() {
     // genuine suspension even on a one-core box.
     for spec in registry::all() {
         for wait in WaitPolicyKind::ALL {
-            let lock: Arc<_> = Arc::new(spec.build_async(wait, &CONFIG));
-            run_bounded(format!("{}/{}/async", spec.name, wait.name()), move || {
-                let pool = TaskPool::new(2);
-                let handles: Vec<_> = (0..6usize)
-                    .map(|t| {
-                        let lock = Arc::clone(&lock);
-                        pool.spawn(async move {
-                            for i in 0..60u64 {
-                                let start = ((t as u64 * 13 + i * 5) % 8) * 8;
-                                let range = Range::new(start, start + 80);
-                                if (t as u64 + i).is_multiple_of(3) {
-                                    drop(lock.write_async_dyn(range).await);
-                                } else {
-                                    drop(lock.read_async_dyn(range).await);
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join();
-                }
-            });
+            storm_async(
+                format!("{}/{}/async", spec.name, wait.name()),
+                spec.build_twophase(wait, &CONFIG),
+            );
         }
     }
+}
+
+/// Overlapping mixed-mode storm of async tasks on a two-worker pool. Generic
+/// over the lock so the spawned tasks' `Send` bound is proven from the trait
+/// bounds: a concrete boxed dyn lock inside a spawned future trips rustc's
+/// "implementation is not general enough" auto-trait check.
+fn storm_async<L: TwoPhaseRwRangeLock + 'static>(label: String, lock: L) {
+    let lock = Arc::new(lock);
+    run_bounded(label, move || {
+        let pool = TaskPool::new(2);
+        let handles: Vec<_> = (0..6usize)
+            .map(|t| {
+                let lock = Arc::clone(&lock);
+                pool.spawn(async move {
+                    for i in 0..60u64 {
+                        let start = ((t as u64 * 13 + i * 5) % 8) * 8;
+                        let range = Range::new(start, start + 80);
+                        if (t as u64 + i).is_multiple_of(3) {
+                            drop(lock.write_async(range).await);
+                        } else {
+                            drop(lock.read_async(range).await);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join();
+        }
+    });
 }
 
 #[test]

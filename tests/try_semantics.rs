@@ -88,7 +88,7 @@ fn every_registry_variant_honors_the_try_contract() {
     };
     for spec in registry::all() {
         for wait in WaitPolicyKind::ALL {
-            let lock = spec.build(wait, &config);
+            let lock = spec.build_twophase(wait, &config);
             // Segment-aligned ranges so `pnova-rw`'s granularity contract
             // holds (span/segments = 64-byte segments).
             let held = lock.write(Range::new(0, 128));
@@ -127,7 +127,7 @@ fn single_threaded_try_outcomes_are_exact() {
     // The contract allows spurious failure only under concurrent
     // modification; single-threaded, `None` iff a conflicting range is held.
     for spec in registry::all() {
-        let lock = spec.build_default();
+        let lock = spec.build_twophase(WaitPolicyKind::SpinThenYield, &RegistryConfig::default());
         assert!(
             lock.try_write(Range::new(0, 64)).is_some(),
             "{}: uncontended try_write must succeed",

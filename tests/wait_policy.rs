@@ -15,9 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use range_locks_repro::range_lock::{
-    ListRangeLock, Range, RangeLock, RwListRangeLock, RwRangeLock,
-};
+use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_file::{LockMode, LockTable};
 use range_locks_repro::rl_sync::wait::{Block, WaitPolicyKind};
@@ -57,10 +55,10 @@ where
     }
 }
 
-/// Overlapping-range storm over an exclusive lock.
+/// Overlapping-range write storm over an exclusive lock.
 fn storm_exclusive<L>(label: &'static str, lock: L)
 where
-    L: RangeLock + 'static,
+    L: RwRangeLock + 'static,
 {
     let lock = Arc::new(lock);
     join_bounded(label, |t| {
@@ -70,7 +68,7 @@ where
                 // Every range overlaps the centre, so parkers and releasers
                 // continuously interleave.
                 let start = ((t * 7 + i) % 8) as u64 * 8;
-                let guard = lock.acquire(Range::new(start, start + 80));
+                let guard = lock.write(Range::new(start, start + 80));
                 std::hint::black_box(&guard);
                 drop(guard);
             }
@@ -127,7 +125,7 @@ fn every_registry_variant_under_block_never_loses_a_wakeup() {
     for spec in registry::all() {
         storm_rw(
             format!("{}/block/registry", spec.name),
-            spec.build(WaitPolicyKind::Block, &config),
+            spec.build_twophase(WaitPolicyKind::Block, &config),
         );
     }
 }
