@@ -1,98 +1,327 @@
 //! `repro` — regenerate every figure of the paper on the current machine.
 //!
-//! ```text
-//! repro [--quick|--full] [--threads 1,2,4,8] [--json] <experiment>...
-//!
-//! experiments:
-//!   fig3-full          ArrBench, all threads acquire the full range
-//!   fig3-nonoverlap    ArrBench, per-thread disjoint ranges
-//!   fig3-random        ArrBench, random ranges
-//!   fig3-quick         one tiny fig3-random sweep (threads 1,2) — the CI
-//!                      smoke step exercising every registry variant via
-//!                      dynamic dispatch
-//!   fig3-oversub       ArrBench with more threads than cores, all 5 lock
-//!                      variants x all 3 wait policies (spin/spin-yield/block)
-//!   fig4               skip-list throughput (orig / range-lustre / range-list)
-//!   skip-sweep         range-locked skip list over every registry variant x
-//!                      every wait policy (one table per policy)
-//!   skipbench-quick    a bounded skip-sweep for CI: small key universe,
-//!                      short cells, threads 1 and 2
-//!   fig5               Metis runtimes: stock vs tree/list, full vs refined
-//!                      (noise-vetted: best of N reps per cell)
-//!   fig5-quick         a bounded fig5 for CI: quick scale, threads 1 and 2
-//!   fig6               refinement breakdown (list-full/pf/mprotect/refined)
-//!                      plus the per-cell speculation success rate
-//!   fig6-quick         a bounded fig6 for CI: quick scale, threads 1 and 2
-//!   fig7               average + p50/p99 wait time of mmap_sem / the range
-//!                      lock, plus the vmacache-vs-tree-walk microbench
-//!   fig8               average wait time of the tree lock's internal spin lock
-//!   filebench          rl-file workload: reader/writer mix x threads x lock
-//!                      variant, uniform + skewed offsets, per-op wait times
-//!   filebench-oversub  filebench with more threads than cores, all 5 lock
-//!                      variants x all 3 wait policies
-//!   asyncbench         M lock owners >> N threads: async (waker-driven)
-//!                      tasks on a fixed worker pool vs thread-per-owner
-//!                      block / spin-yield baselines, 1x/2x/4x core
-//!                      multipliers, all 5 variants (one table per variant)
-//!   asyncbench-quick   a bounded asyncbench for CI: every variant and
-//!                      driver, small owner counts and op counts
-//!   batch              atomic multi-range acquisition (lock_many) vs
-//!                      sequential ascending-order locking on the
-//!                      deadlock-checked lock table, batches/sec x threads,
-//!                      all 5 lock variants
-//!   batch-quick        a bounded batch sweep for CI: every variant under
-//!                      both drivers, small thread counts, short cells
-//!   parkbench          keyed parking lot vs broadcast eventcount: targeted
-//!                      wakes/sec, spurious wakeups per release, wake-to-run
-//!                      p50/p99, plus a disjoint-pair Block-policy lock storm
-//!   parkbench-quick    the same legs with fewer waiters and rounds, for CI
-//!   serverbench        the rl-server range-lock/file service under client
-//!                      saturation: connections x read mix x lock variant,
-//!                      lock -> I/O -> unlock triples over the in-process
-//!                      transport, plus a loopback-TCP spot check
-//!   serverbench-quick  a bounded serverbench for CI: every variant, small
-//!                      connection and op counts
-//!   obsbench           rl-obs instrumentation overhead on the uncontended
-//!                      list-ex fast path: recorder absent / installed-but-
-//!                      disabled / enabled-sampled / enabled-full
-//!   obsbench-quick     the same four legs with fewer iterations, for CI
-//!   perfdiff           regression gate: re-run the quick sweeps and compare
-//!                      cell-by-cell (direction-aware, p50/p99 included)
-//!                      against the committed BENCH_*.json baselines; exits
-//!                      nonzero on a large regression. --inject-regression
-//!                      degrades the fresh numbers first (the gate's
-//!                      self-test must then fail); --tolerance N overrides
-//!                      the 4x default
-//!   all                everything above except perfdiff
-//! ```
-//!
-//! `--threads` entries may be plain counts (`8`) or core-count multipliers
-//! (`2x` = twice the available cores), which is how the CI smoke step keeps
-//! the oversubscription experiments bounded on any runner. Without an
-//! explicit `--threads`, the oversubscription experiments sweep 1x, 2x and
-//! 4x the core count.
+//! Every experiment is declared once, as a row of [`EXPERIMENTS`]: its
+//! name, a one-line help, the function that measures its tables, and the
+//! committed baseline (if any) that `perfdiff` gates it against. `repro
+//! --help` prints the table.
 //!
 //! `--quick` (default) uses scaled-down inputs that finish in a couple of
 //! minutes on a laptop; `--full` uses larger inputs closer to the paper's
 //! per-thread work. Shapes — who wins and by roughly how much — are what to
-//! compare; absolute numbers depend on the machine (see EXPERIMENTS.md).
+//! compare; absolute numbers depend on the machine.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use rl_baselines::registry;
+use range_lock::{ListLockConfig, ListRangeLock, Range, RwListRangeLock};
+use rl_baselines::{registry, RwTreeRangeLock, SegmentRangeLock, TreeRangeLock};
 use rl_bench::arrbench::{self, ArrBenchConfig, RangePolicy};
 use rl_bench::asyncbench::{self, AsyncBenchConfig, AsyncBenchResult, AsyncDriver};
 use rl_bench::batchbench::{self, BatchBenchConfig, BatchDriver};
 use rl_bench::filebench::{self, FileBenchConfig, OffsetDist};
 use rl_bench::metisbench::{self, MetisScale};
-use rl_bench::obsbench;
+use rl_bench::obsbench::{self, best_ns_per_op};
 use rl_bench::parkbench;
 use rl_bench::perfdiff;
 use rl_bench::report::Table;
 use rl_bench::serverbench::{self, ServerBenchConfig};
 use rl_bench::skipbench::{self, SkipBenchConfig, SkipListVariant};
 use rl_metis::Workload;
+use rl_sync::wait::Block;
 use rl_sync::WaitPolicyKind;
+use rl_vm::Strategy;
+
+/// One experiment: everything `main`, `all`, `--help` and `perfdiff` know
+/// about it.
+struct Experiment {
+    name: &'static str,
+    help: &'static str,
+    /// Measures the experiment's tables.
+    tables: fn(&Options) -> Vec<Table>,
+    /// Whether `all` runs it (the bounded CI smokes are left out).
+    in_all: bool,
+    /// Committed `--quick --json` output that `perfdiff` diffs against.
+    baseline: Option<&'static str>,
+    /// Title substrings of tables `perfdiff` leaves out of the gate. They
+    /// stay in the committed baseline for reference; unmatched baseline
+    /// tables skip.
+    ungated: &'static [&'static str],
+}
+
+/// Every experiment, in the order `all`, `--help` and `perfdiff` run them.
+///
+/// `obsbench` is last: it installs the process-global recorder, and every
+/// earlier experiment (the `fastpath` cells above all) should measure the
+/// pristine, never-installed state the baselines were recorded under.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig3-full",
+        help: "ArrBench, all threads acquire the full range",
+        tables: |o| fig3(RangePolicy::FullRange, o),
+        in_all: true,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig3-nonoverlap",
+        help: "ArrBench, per-thread disjoint ranges",
+        tables: |o| fig3(RangePolicy::NonOverlapping, o),
+        in_all: true,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig3-random",
+        help: "ArrBench, random ranges",
+        tables: |o| fig3(RangePolicy::Random, o),
+        in_all: true,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig3-quick",
+        help: "CI smoke: one tiny fig3-random sweep, every variant via dyn dispatch",
+        tables: fig3_quick,
+        in_all: false,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig3-oversub",
+        help: "ArrBench past the core count, 5 variants x 3 wait policies",
+        tables: fig3_oversub,
+        in_all: true,
+        // Recorded on one core: its titles name the core count, so other
+        // machines skip every cell. It also holds the filebench-oversub
+        // tables, which this row never produces and which therefore skip.
+        baseline: Some("BENCH_oversub.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig4",
+        help: "skip-list throughput (orig / range-lustre / range-list)",
+        tables: fig4,
+        in_all: true,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "skip-sweep",
+        help: "range-locked skip list over every variant, one table per wait policy",
+        tables: skip_sweep,
+        in_all: true,
+        baseline: Some("BENCH_skip.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "skipbench-quick",
+        help: "CI smoke: a bounded skip-sweep (small key universe, threads 1,2)",
+        tables: |o| skip_sweep(&quick_opts(o)),
+        in_all: false,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig5",
+        help: "Metis runtimes: stock vs tree/list, full vs refined (best of N reps)",
+        tables: |o| fig5(figure5_sweep(o)),
+        in_all: true,
+        baseline: Some("BENCH_fig5.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig5-quick",
+        help: "CI smoke: fig5 at quick scale, threads 1,2",
+        tables: |o| fig5(&metis_sweep(&Strategy::FIGURE5, &quick_opts(o))),
+        in_all: false,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig6",
+        help: "refinement breakdown plus the per-cell speculation success rate",
+        tables: |o| fig6(&metis_sweep(&Strategy::FIGURE6, o)),
+        in_all: true,
+        baseline: Some("BENCH_fig6.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig6-quick",
+        help: "CI smoke: fig6 at quick scale, asserts nonzero list-refined speculation",
+        tables: fig6_quick,
+        in_all: false,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "fig7",
+        help: "avg + p50/p99 lock wait, plus the vmacache-vs-tree-walk microbench",
+        tables: fig7,
+        in_all: true,
+        baseline: Some("BENCH_fig7.json"),
+        // Whether a handful of acquisitions happened to park decides these
+        // p50/p99 cells, which flap by orders of magnitude run to run.
+        ungated: &["wait percentiles"],
+    },
+    Experiment {
+        name: "fig8",
+        help: "average wait on the range tree's internal spin lock",
+        tables: |o| fig8(figure5_sweep(o)),
+        in_all: true,
+        baseline: Some("BENCH_fig8.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "filebench",
+        help: "rl-file: read mix x threads x variant, uniform + skewed, per-op waits",
+        tables: filebench_tables,
+        in_all: true,
+        baseline: Some("BENCH_filebench.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "filebench-oversub",
+        help: "filebench past the core count, 5 variants x 3 wait policies",
+        tables: filebench_oversub,
+        in_all: true,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "asyncbench",
+        help: "M owners >> N threads: async tasks vs thread-per-owner, 1x/2x/4x cores",
+        tables: |o| {
+            // Enough work per owner that the backlog spans many scheduler
+            // timeslices; otherwise thread-per-owner runs are sequential
+            // bursts that never contend.
+            asyncbench_tables(&oversub_threads(o), if o.quick { 12_000 } else { 60_000 })
+        },
+        in_all: true,
+        baseline: Some("BENCH_async.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "asyncbench-quick",
+        help: "CI smoke: every variant and driver, small owner and op counts",
+        tables: |_| {
+            let cores = available_cores();
+            asyncbench_tables(&[cores.max(2), 4 * cores], 300)
+        },
+        in_all: false,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "batch",
+        help: "atomic lock_many vs sequential ascending locking, batches/sec x threads",
+        tables: |o| {
+            let duration = if o.quick {
+                Duration::from_millis(300)
+            } else {
+                Duration::from_secs(2)
+            };
+            [2, 8]
+                .into_iter()
+                .flat_map(|size| batch_tables(&o.threads, size, duration))
+                .collect()
+        },
+        in_all: true,
+        baseline: Some("BENCH_batch.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "batch-quick",
+        help: "CI smoke: every variant under both drivers, short cells",
+        tables: |_| batch_tables(&[1, 2], 3, Duration::from_millis(50)),
+        in_all: false,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "parkbench",
+        help: "keyed parking lot vs broadcast eventcount: wakes, spurious, latency",
+        tables: |o| parkbench::tables(o.quick),
+        in_all: true,
+        baseline: Some("BENCH_park.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "serverbench",
+        help: "rl-server under client saturation: connections x read mix x variant",
+        tables: |o| {
+            let connections: &[usize] = if o.threads_overridden {
+                &o.threads
+            } else {
+                &[1, 4, 16, 64]
+            };
+            serverbench_tables(connections, if o.quick { 400 } else { 5_000 })
+        },
+        in_all: true,
+        baseline: None,
+        ungated: &[],
+    },
+    Experiment {
+        name: "serverbench-quick",
+        help: "CI smoke: every variant, connections 1,2,4, 200 ops each",
+        tables: |_| serverbench_tables(&[1, 2, 4], 200),
+        in_all: false,
+        baseline: Some("BENCH_server.json"),
+        // A few hundred samples per cell: the p99 columns flap well past
+        // tolerance under runner jitter.
+        ungated: &["op latency"],
+    },
+    Experiment {
+        name: "fastpath",
+        help: "Section 4.5 ablation: uncontended acquire+release of every lock",
+        tables: fastpath,
+        in_all: true,
+        baseline: Some("BENCH_fastpath.json"),
+        ungated: &[],
+    },
+    Experiment {
+        name: "obsbench",
+        help: "rl-obs overhead on the list-ex fast path: absent/disabled/sampled/full",
+        tables: |o| {
+            let (iters, reps) = timing_scale(o.quick);
+            let results = obsbench::run(iters, reps);
+            let columns = results.iter().map(|r| r.mode.to_string()).collect();
+            let mut table = Table::new(
+                "ObsBench: uncontended acquire+release, list-ex fast path",
+                "threads",
+                "ns/op",
+                columns,
+            );
+            table.push_row(1, results.iter().map(|r| r.ns_per_op).collect());
+            vec![table]
+        },
+        in_all: true,
+        baseline: Some("BENCH_obs.json"),
+        ungated: &[],
+    },
+];
+
+/// Looks an experiment up by name.
+fn lookup(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+fn print_help() {
+    println!("repro [--quick|--full] [--threads 1,2,4,8] [--json] <experiment>...\n\nexperiments:");
+    for e in EXPERIMENTS {
+        println!("  {:<18} {}", e.name, e.help);
+    }
+    println!(
+        "  all                every experiment above except the CI smokes
+  perfdiff           regression gate: rerun every experiment that has a committed
+                     BENCH_*.json and diff cell by cell; exits 1 on a regression.
+                     --tolerance N overrides the {}x default; --inject-regression
+                     degrades the fresh numbers first (the self-test must fail)
+
+--threads entries are counts (8) or core multipliers (2x). Without --threads,
+the oversubscription experiments sweep 1x, 2x and 4x the core count.",
+        perfdiff::DEFAULT_TOLERANCE
+    );
+}
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -135,15 +364,19 @@ fn default_oversub_threads() -> Vec<usize> {
     t
 }
 
-/// Parses one `--threads` entry: a plain count (`8`) or a core-count
-/// multiplier (`2x`).
-fn parse_thread_entry(entry: &str) -> usize {
+/// Parses one `--threads` entry: a positive count (`8`) or a positive
+/// core-count multiplier (`2x`).
+fn parse_thread_entry(entry: &str) -> Result<usize, String> {
     let entry = entry.trim();
-    if let Some(mult) = entry.strip_suffix('x') {
-        let mult: usize = mult.parse().expect("invalid thread multiplier");
-        (mult * available_cores()).max(1)
-    } else {
-        entry.parse().expect("invalid thread count")
+    let (number, mult) = match entry.strip_suffix('x') {
+        Some(number) => (number, available_cores()),
+        None => (entry, 1),
+    };
+    match number.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n * mult),
+        _ => Err(format!(
+            "invalid --threads entry '{entry}': expected a positive count (8) or multiplier (2x)"
+        )),
     }
 }
 
@@ -157,7 +390,11 @@ fn parse_args() -> Options {
         tolerance: perfdiff::DEFAULT_TOLERANCE,
         experiments: Vec::new(),
     };
-    let mut args = std::env::args().skip(1).peekable();
+    let usage_error = |message: &str| -> ! {
+        eprintln!("{message}");
+        std::process::exit(2);
+    };
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
@@ -165,24 +402,34 @@ fn parse_args() -> Options {
             "--json" => opts.json = true,
             "--inject-regression" => opts.inject_regression = true,
             "--tolerance" => {
-                opts.tolerance = args.next().and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tolerance requires a number");
-                    std::process::exit(2);
-                });
+                opts.tolerance = args
+                    .next()
+                    .and_then(|t| t.parse().ok())
+                    .unwrap_or_else(|| usage_error("--tolerance requires a number"));
             }
             "--threads" => {
-                let list = args.next().unwrap_or_else(|| {
-                    eprintln!("--threads requires a comma-separated list");
-                    std::process::exit(2);
-                });
-                opts.threads = list.split(',').map(parse_thread_entry).collect();
+                let list = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--threads requires a comma-separated list"));
+                opts.threads = list
+                    .split(',')
+                    .map(parse_thread_entry)
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_else(|err| usage_error(&err));
                 opts.threads_overridden = true;
             }
             "--help" | "-h" => {
-                println!("see the module documentation at the top of repro.rs, or README.md");
+                print_help();
                 std::process::exit(0);
             }
-            other => opts.experiments.push(other.to_string()),
+            name => {
+                if !matches!(name, "all" | "perfdiff") && lookup(name).is_none() {
+                    usage_error(&format!(
+                        "unknown experiment '{name}'; run with --help for the list"
+                    ));
+                }
+                opts.experiments.push(name.to_string());
+            }
         }
     }
     if opts.experiments.is_empty() {
@@ -191,52 +438,32 @@ fn parse_args() -> Options {
     opts
 }
 
-fn emit(table: &Table, json: bool) {
-    if json {
-        println!("{}", table.to_json());
-    } else {
-        println!("{}", table.render());
-    }
-}
-
-fn arrbench_duration(quick: bool) -> Duration {
-    if quick {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(3)
-    }
-}
-
-fn run_fig3(policy: RangePolicy, opts: &Options) {
-    let panel = match policy {
-        RangePolicy::FullRange => "Figure 3 (a,b): full-range acquisitions",
-        RangePolicy::NonOverlapping => "Figure 3 (c,d): non-overlapping acquisitions",
-        RangePolicy::Random => "Figure 3 (e,f): random-range acquisitions",
-    };
-    for read_pct in [100u32, 60] {
-        let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-        let mut table = Table::new(
-            format!("{panel} — {read_pct}% reads"),
-            "threads",
-            "ops/sec",
-            columns,
-        );
-        for &threads in &opts.threads {
-            let mut row = Vec::new();
-            for lock in registry::all() {
-                let result = arrbench::run(&ArrBenchConfig {
-                    lock,
-                    policy,
-                    wait: WaitPolicyKind::SpinThenYield,
-                    threads,
-                    read_pct,
-                    duration: arrbench_duration(opts.quick),
-                });
-                row.push(result.ops_per_sec());
-            }
-            table.push_row(threads as u64, row);
+fn emit(tables: &[Table], json: bool) {
+    for table in tables {
+        if json {
+            println!("{}", table.to_json());
+        } else {
+            println!("{}", table.render());
         }
-        emit(&table, opts.json);
+    }
+}
+
+/// Registry variant names: the columns of every per-variant table.
+fn variant_columns() -> Vec<String> {
+    registry::all().iter().map(|l| l.name.to_string()).collect()
+}
+
+/// Bounded options for the CI smoke experiments: quick scale, threads 1
+/// and 2 (unless `--threads` was given explicitly).
+fn quick_opts(opts: &Options) -> Options {
+    Options {
+        quick: true,
+        threads: if opts.threads_overridden {
+            opts.threads.clone()
+        } else {
+            vec![1, 2]
+        },
+        ..opts.clone()
     }
 }
 
@@ -249,75 +476,107 @@ fn oversub_threads(opts: &Options) -> Vec<usize> {
     }
 }
 
-fn run_fig3_oversub(opts: &Options) {
-    let threads = oversub_threads(opts);
-    for wait in WaitPolicyKind::ALL {
-        let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-        let mut table = Table::new(
-            format!(
-                "Figure 3 oversubscribed: random ranges — 60% reads — {} policy ({} cores)",
-                wait.name(),
-                available_cores()
-            ),
-            "threads",
-            "ops/sec",
-            columns,
-        );
-        for &t in &threads {
-            let mut row = Vec::new();
-            for lock in registry::all() {
-                let result = arrbench::run(&ArrBenchConfig {
+/// One ArrBench table: a row per thread count, a column per registry
+/// variant.
+fn arrbench_table(
+    title: String,
+    threads: &[usize],
+    policy: RangePolicy,
+    wait: WaitPolicyKind,
+    read_pct: u32,
+    duration: Duration,
+) -> Table {
+    let mut table = Table::new(title, "threads", "ops/sec", variant_columns());
+    for &threads in threads {
+        let row = registry::all()
+            .iter()
+            .map(|lock| {
+                arrbench::run(&ArrBenchConfig {
                     lock,
-                    policy: RangePolicy::Random,
+                    policy,
                     wait,
-                    threads: t,
-                    read_pct: 60,
-                    duration: arrbench_duration(opts.quick),
-                });
-                row.push(result.ops_per_sec());
-            }
-            table.push_row(t as u64, row);
-        }
-        emit(&table, opts.json);
+                    threads,
+                    read_pct,
+                    duration,
+                })
+                .ops_per_sec()
+            })
+            .collect();
+        table.push_row(threads as u64, row);
     }
+    table
+}
+
+fn arrbench_duration(quick: bool) -> Duration {
+    if quick {
+        Duration::from_millis(300)
+    } else {
+        Duration::from_secs(3)
+    }
+}
+
+fn fig3(policy: RangePolicy, opts: &Options) -> Vec<Table> {
+    let panel = match policy {
+        RangePolicy::FullRange => "Figure 3 (a,b): full-range acquisitions",
+        RangePolicy::NonOverlapping => "Figure 3 (c,d): non-overlapping acquisitions",
+        RangePolicy::Random => "Figure 3 (e,f): random-range acquisitions",
+    };
+    [100, 60]
+        .into_iter()
+        .map(|read_pct| {
+            arrbench_table(
+                format!("{panel} — {read_pct}% reads"),
+                &opts.threads,
+                policy,
+                WaitPolicyKind::SpinThenYield,
+                read_pct,
+                arrbench_duration(opts.quick),
+            )
+        })
+        .collect()
 }
 
 /// A bounded fig3-random sweep for CI: every registry variant through the
-/// dynamic-dispatch interface, small thread counts, short cells — fast enough
-/// to run on every push regardless of runner size.
-fn run_fig3_quick(opts: &Options) {
-    let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-    let mut table = Table::new(
-        "Figure 3 quick smoke: random ranges — 60% reads (registry, dyn dispatch)",
-        "threads",
-        "ops/sec",
-        columns,
+/// dynamic-dispatch interface, small thread counts, short cells.
+fn fig3_quick(_: &Options) -> Vec<Table> {
+    let table = arrbench_table(
+        "Figure 3 quick smoke: random ranges — 60% reads (registry, dyn dispatch)".to_string(),
+        &[1, 2],
+        RangePolicy::Random,
+        WaitPolicyKind::SpinThenYield,
+        60,
+        Duration::from_millis(50),
     );
-    for threads in [1usize, 2] {
-        let mut row = Vec::new();
-        for lock in registry::all() {
-            let result = arrbench::run(&ArrBenchConfig {
-                lock,
-                policy: RangePolicy::Random,
-                wait: WaitPolicyKind::SpinThenYield,
-                threads,
-                read_pct: 60,
-                duration: Duration::from_millis(50),
-            });
-            assert!(
-                result.operations > 0,
-                "fig3-quick: {} made no progress",
-                lock.name
-            );
-            row.push(result.ops_per_sec());
+    for row in &table.rows {
+        for (lock, &ops) in table.columns.iter().zip(&row.values) {
+            assert!(ops > 0.0, "fig3-quick: {lock} made no progress");
         }
-        table.push_row(threads as u64, row);
     }
-    emit(&table, opts.json);
+    vec![table]
 }
 
-fn run_fig4(opts: &Options) {
-    let columns: Vec<String> = SkipListVariant::ALL
+fn fig3_oversub(opts: &Options) -> Vec<Table> {
+    WaitPolicyKind::ALL
+        .into_iter()
+        .map(|wait| {
+            arrbench_table(
+                format!(
+                    "Figure 3 oversubscribed: random ranges — 60% reads — {} policy ({} cores)",
+                    wait.name(),
+                    available_cores()
+                ),
+                &oversub_threads(opts),
+                RangePolicy::Random,
+                wait,
+                60,
+                arrbench_duration(opts.quick),
+            )
+        })
+        .collect()
+}
+
+fn fig4(opts: &Options) -> Vec<Table> {
+    let columns = SkipListVariant::ALL
         .iter()
         .map(|v| v.name().to_string())
         .collect();
@@ -328,31 +587,27 @@ fn run_fig4(opts: &Options) {
         columns,
     );
     for &threads in &opts.threads {
-        let mut row = Vec::new();
-        for variant in SkipListVariant::ALL {
-            let config = if opts.quick {
-                SkipBenchConfig::quick(variant, threads)
-            } else {
-                let mut c = SkipBenchConfig::paper(variant, threads);
-                c.duration = Duration::from_secs(3);
-                c
-            };
-            row.push(skipbench::run(&config).ops_per_sec());
-        }
+        let row = SkipListVariant::ALL
+            .into_iter()
+            .map(|variant| {
+                let config = if opts.quick {
+                    SkipBenchConfig::quick(variant, threads)
+                } else {
+                    let mut c = SkipBenchConfig::paper(variant, threads);
+                    c.duration = Duration::from_secs(3);
+                    c
+                };
+                skipbench::run(&config).ops_per_sec()
+            })
+            .collect();
         table.push_row(threads as u64, row);
     }
-    emit(&table, opts.json);
-}
-
-/// Registry variant names in the order [`SkipListVariant::SWEEP`] groups
-/// them (five per wait policy).
-fn skip_sweep_columns() -> Vec<String> {
-    registry::all().iter().map(|l| l.name.to_string()).collect()
+    vec![table]
 }
 
 /// One table per wait policy: every registry variant backing the
 /// range-locked skip list under that policy.
-fn skip_sweep_tables(opts: &Options) -> Vec<Table> {
+fn skip_sweep(opts: &Options) -> Vec<Table> {
     let mut tables = Vec::new();
     for wait in WaitPolicyKind::ALL {
         let mut table = Table::new(
@@ -362,7 +617,7 @@ fn skip_sweep_tables(opts: &Options) -> Vec<Table> {
             ),
             "threads",
             "ops/sec",
-            skip_sweep_columns(),
+            variant_columns(),
         );
         for &threads in &opts.threads {
             let mut row = Vec::new();
@@ -394,29 +649,6 @@ fn skip_sweep_tables(opts: &Options) -> Vec<Table> {
     tables
 }
 
-fn run_skip_sweep(opts: &Options) {
-    for table in skip_sweep_tables(opts) {
-        emit(&table, opts.json);
-    }
-}
-
-fn metis_scale(quick: bool) -> MetisScale {
-    if quick {
-        MetisScale::Quick
-    } else {
-        MetisScale::Full
-    }
-}
-
-/// Repetitions per Metis cell; the fastest run is kept (noise vetting).
-fn metis_reps(quick: bool) -> u32 {
-    if quick {
-        2
-    } else {
-        3
-    }
-}
-
 /// One workload's noise-vetted measurements: `rows[i][j]` is thread count
 /// `threads[i]` under strategy `j` of the sweep's strategy set.
 struct MetisSweep {
@@ -426,12 +658,13 @@ struct MetisSweep {
 }
 
 /// Measures `strategies` across every workload and thread count, best of
-/// [`metis_reps`] runs per cell. One sweep feeds several figures (runtime,
-/// wait averages, wait percentiles, spin waits) so nothing is measured
-/// twice.
-fn metis_sweep(strategies: &[rl_vm::Strategy], opts: &Options) -> Vec<MetisSweep> {
-    let scale = metis_scale(opts.quick);
-    let reps = metis_reps(opts.quick);
+/// 2 (quick) or 3 (full) runs per cell.
+fn metis_sweep(strategies: &[Strategy], opts: &Options) -> Vec<MetisSweep> {
+    let (scale, reps) = if opts.quick {
+        (MetisScale::Quick, 2)
+    } else {
+        (MetisScale::Full, 3)
+    };
     Workload::ALL
         .iter()
         .map(|&workload| {
@@ -456,7 +689,19 @@ fn metis_sweep(strategies: &[rl_vm::Strategy], opts: &Options) -> Vec<MetisSweep
         .collect()
 }
 
-fn strategy_columns(strategies: &[rl_vm::Strategy]) -> Vec<String> {
+/// The FIGURE5 sweep, measured once per process: Figures 5, 7 and 8 are
+/// projections of the same measurements, so nothing is measured twice.
+fn figure5_sweep(opts: &Options) -> &'static [MetisSweep] {
+    static SWEEP: OnceLock<Vec<MetisSweep>> = OnceLock::new();
+    let sweeps = SWEEP.get_or_init(|| metis_sweep(&Strategy::FIGURE5, opts));
+    assert!(
+        sweeps.iter().all(|s| s.threads == opts.threads),
+        "the shared FIGURE5 sweep was taken under other thread counts"
+    );
+    sweeps
+}
+
+fn strategy_columns(strategies: &[Strategy]) -> Vec<String> {
     strategies.iter().map(|s| s.name.to_string()).collect()
 }
 
@@ -486,27 +731,69 @@ fn sweep_tables(
 }
 
 /// Figure 5: runtime tables from a FIGURE5 sweep.
-fn fig5_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
+fn fig5(sweeps: &[MetisSweep]) -> Vec<Table> {
     sweep_tables(
         sweeps,
         |wl| format!("Figure 5: Metis {wl} runtime"),
         "runtime (ms)",
-        strategy_columns(&rl_vm::Strategy::FIGURE5),
+        strategy_columns(&Strategy::FIGURE5),
         |m| m.runtime.as_secs_f64() * 1_000.0,
     )
 }
 
+/// Figure 6: runtime-breakdown tables plus the per-cell speculation success
+/// rate, from a FIGURE6 sweep.
+fn fig6(sweeps: &[MetisSweep]) -> Vec<Table> {
+    let mut tables = sweep_tables(
+        sweeps,
+        |wl| format!("Figure 6: refinement breakdown, Metis {wl}"),
+        "runtime (ms)",
+        strategy_columns(&Strategy::FIGURE6),
+        |m| m.runtime.as_secs_f64() * 1_000.0,
+    );
+    tables.extend(sweep_tables(
+        sweeps,
+        |wl| format!("Figure 6 speculation rate, Metis {wl}"),
+        "spec success (%)",
+        strategy_columns(&Strategy::FIGURE6),
+        metisbench::MetisMeasurement::speculation_rate_pct,
+    ));
+    tables
+}
+
+fn fig6_quick(opts: &Options) -> Vec<Table> {
+    let sweeps = metis_sweep(&Strategy::FIGURE6, &quick_opts(opts));
+    // The smoke step also guards the headline Section 7.2 claim: the fully
+    // refined strategy must complete a nonzero share of its mprotects
+    // speculatively even on the smallest inputs.
+    for sweep in &sweeps {
+        for row in &sweep.rows {
+            let refined = row
+                .iter()
+                .find(|m| m.strategy.name == "list-refined")
+                .expect("FIGURE6 contains list-refined");
+            assert!(
+                refined.speculation_rate_pct() > 0.0,
+                "fig6-quick: no speculative mprotect succeeded on {}",
+                sweep.workload.name()
+            );
+        }
+    }
+    fig6(&sweeps)
+}
+
 /// Figure 7: average-wait tables, wait-percentile tables, and the
-/// vmacache-vs-tree-walk microbench, from the same FIGURE5 sweep.
-fn fig7_tables(sweeps: &[MetisSweep], quick: bool) -> Vec<Table> {
+/// vmacache-vs-tree-walk microbench, from the shared FIGURE5 sweep.
+fn fig7(opts: &Options) -> Vec<Table> {
+    let sweeps = figure5_sweep(opts);
     let mut tables = sweep_tables(
         sweeps,
         |wl| format!("Figure 7: avg wait per acquisition, Metis {wl}"),
         "wait (us)",
-        strategy_columns(&rl_vm::Strategy::FIGURE5),
+        strategy_columns(&Strategy::FIGURE5),
         metisbench::MetisMeasurement::avg_lock_wait_us,
     );
-    let percentile_columns: Vec<String> = rl_vm::Strategy::FIGURE5
+    let percentile_columns: Vec<String> = Strategy::FIGURE5
         .iter()
         .flat_map(|s| [format!("{} p50", s.name), format!("{} p99", s.name)])
         .collect();
@@ -528,7 +815,7 @@ fn fig7_tables(sweeps: &[MetisSweep], quick: bool) -> Vec<Table> {
     }
     // The companion microbenchmark: a refined fault through the per-thread
     // vmacache vs the full tree walk, on a heavily fragmented space.
-    let bench = metisbench::vmacache_bench(if quick { 50_000 } else { 500_000 });
+    let bench = metisbench::vmacache_bench(if opts.quick { 50_000 } else { 500_000 });
     let mut cache_table = Table::new(
         "Figure 7 companion: refined fault VMA lookup",
         "threads",
@@ -540,9 +827,9 @@ fn fig7_tables(sweeps: &[MetisSweep], quick: bool) -> Vec<Table> {
     tables
 }
 
-/// Figure 8: spin-lock wait tables, from the tree columns of the same
-/// FIGURE5 sweep (`tree-full` is strategy 1, `tree-refined` strategy 3).
-fn fig8_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
+/// Figure 8: spin-lock wait tables, from the tree columns of a FIGURE5
+/// sweep (`tree-full` is strategy 1, `tree-refined` strategy 3).
+fn fig8(sweeps: &[MetisSweep]) -> Vec<Table> {
     sweeps
         .iter()
         .map(|sweep| {
@@ -569,121 +856,6 @@ fn fig8_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
         .collect()
 }
 
-/// Figure 6: runtime-breakdown tables plus the per-cell speculation success
-/// rate, from a FIGURE6 sweep.
-fn fig6_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
-    let mut tables = sweep_tables(
-        sweeps,
-        |wl| format!("Figure 6: refinement breakdown, Metis {wl}"),
-        "runtime (ms)",
-        strategy_columns(&rl_vm::Strategy::FIGURE6),
-        |m| m.runtime.as_secs_f64() * 1_000.0,
-    );
-    tables.extend(sweep_tables(
-        sweeps,
-        |wl| format!("Figure 6 speculation rate, Metis {wl}"),
-        "spec success (%)",
-        strategy_columns(&rl_vm::Strategy::FIGURE6),
-        metisbench::MetisMeasurement::speculation_rate_pct,
-    ));
-    tables
-}
-
-fn run_fig5(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    for (sweep, table) in sweeps.iter().zip(fig5_tables(&sweeps)) {
-        emit(&table, opts.json);
-        if let (Some(&max_threads), false) = (opts.threads.iter().max(), opts.json) {
-            let spec_rate_at_max = sweep
-                .rows
-                .last()
-                .and_then(|row| row.iter().find(|m| m.strategy.name == "list-refined"))
-                .map_or(0.0, metisbench::MetisMeasurement::speculation_rate_pct);
-            if let Some(spread) = table.spread_at(max_threads as u64) {
-                println!(
-                    "  {}: worst/best runtime ratio at {} threads = {:.1}x; list-refined speculation success = {:.1}%\n",
-                    sweep.workload.name(),
-                    max_threads,
-                    spread,
-                    spec_rate_at_max
-                );
-            }
-        }
-    }
-}
-
-fn run_fig6(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE6, opts);
-    for table in fig6_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_fig7(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    for table in fig7_tables(&sweeps, opts.quick) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_fig8(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    for table in fig8_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-/// Bounded options for the CI smoke experiments: quick scale, threads 1
-/// and 2 (unless `--threads` was given explicitly).
-fn quick_opts(opts: &Options) -> Options {
-    Options {
-        quick: true,
-        threads: if opts.threads_overridden {
-            opts.threads.clone()
-        } else {
-            vec![1, 2]
-        },
-        ..opts.clone()
-    }
-}
-
-fn run_fig5_quick(opts: &Options) {
-    let opts = quick_opts(opts);
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, &opts);
-    for table in fig5_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_fig6_quick(opts: &Options) {
-    let opts = quick_opts(opts);
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE6, &opts);
-    // The smoke step also guards the headline Section 7.2 claim: the fully
-    // refined strategy must complete a nonzero share of its mprotects
-    // speculatively even on the smallest inputs.
-    for sweep in &sweeps {
-        for row in &sweep.rows {
-            let refined = row
-                .iter()
-                .find(|m| m.strategy.name == "list-refined")
-                .expect("FIGURE6 contains list-refined");
-            assert!(
-                refined.speculation_rate_pct() > 0.0,
-                "fig6-quick: no speculative mprotect succeeded on {}",
-                sweep.workload.name()
-            );
-        }
-    }
-    for table in fig6_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_skipbench_quick(opts: &Options) {
-    let opts = quick_opts(opts);
-    run_skip_sweep(&opts);
-}
-
 fn filebench_duration(quick: bool) -> Duration {
     if quick {
         Duration::from_millis(200)
@@ -692,16 +864,32 @@ fn filebench_duration(quick: bool) -> Duration {
     }
 }
 
+/// Runs one FileBench cell, asserting the built-in integrity checker saw
+/// no torn reads or writes.
+fn filebench_cell(config: FileBenchConfig) -> filebench::FileBenchResult {
+    let result = filebench::run(&config);
+    assert_eq!(
+        result.violations,
+        0,
+        "FileBench integrity violation under {} ({} policy, {} offsets, {}% reads, {} threads)",
+        config.lock.name,
+        config.wait.name(),
+        config.dist.name(),
+        config.read_pct,
+        config.threads
+    );
+    result
+}
+
 fn filebench_tables(opts: &Options) -> Vec<Table> {
     let mut tables = Vec::new();
     for dist in [OffsetDist::Uniform, OffsetDist::Skewed] {
         for read_pct in [95u32, 50] {
-            let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
             let mut throughput = Table::new(
                 format!("FileBench: {} offsets — {read_pct}% reads", dist.name()),
                 "threads",
                 "ops/sec",
-                columns,
+                variant_columns(),
             );
             // One wait table per reader-writer variant for the write-heavy
             // mix: rows are thread counts, columns the labeled operations'
@@ -737,7 +925,7 @@ fn filebench_tables(opts: &Options) -> Vec<Table> {
             for &threads in &opts.threads {
                 let mut row = Vec::new();
                 for lock in registry::all() {
-                    let result = filebench::run(&FileBenchConfig {
+                    let result = filebench_cell(FileBenchConfig {
                         lock,
                         wait: WaitPolicyKind::SpinThenYield,
                         threads,
@@ -745,14 +933,6 @@ fn filebench_tables(opts: &Options) -> Vec<Table> {
                         dist,
                         duration: filebench_duration(opts.quick),
                     });
-                    assert_eq!(
-                        result.violations,
-                        0,
-                        "FileBench integrity violation under {} ({} offsets, {read_pct}% reads, \
-                         {threads} threads)",
-                        lock.name,
-                        dist.name()
-                    );
                     row.push(result.ops_per_sec());
                     if let Some((_, table)) = waits.iter_mut().find(|(l, _)| *l == lock.name) {
                         let hist = result.wait_hist();
@@ -778,16 +958,9 @@ fn filebench_tables(opts: &Options) -> Vec<Table> {
     tables
 }
 
-fn run_filebench(opts: &Options) {
-    for table in filebench_tables(opts) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_filebench_oversub(opts: &Options) {
-    let threads = oversub_threads(opts);
+fn filebench_oversub(opts: &Options) -> Vec<Table> {
+    let mut tables = Vec::new();
     for wait in WaitPolicyKind::ALL {
-        let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
         let mut table = Table::new(
             format!(
                 "FileBench oversubscribed: uniform offsets — 50% reads — {} policy ({} cores)",
@@ -796,32 +969,28 @@ fn run_filebench_oversub(opts: &Options) {
             ),
             "threads",
             "ops/sec",
-            columns,
+            variant_columns(),
         );
-        for &t in &threads {
-            let mut row = Vec::new();
-            for lock in registry::all() {
-                let result = filebench::run(&FileBenchConfig {
-                    lock,
-                    wait,
-                    threads: t,
-                    read_pct: 50,
-                    dist: OffsetDist::Uniform,
-                    duration: filebench_duration(opts.quick),
-                });
-                assert_eq!(
-                    result.violations,
-                    0,
-                    "FileBench integrity violation under {} ({} policy, {t} threads)",
-                    lock.name,
-                    wait.name()
-                );
-                row.push(result.ops_per_sec());
-            }
-            table.push_row(t as u64, row);
+        for threads in oversub_threads(opts) {
+            let row = registry::all()
+                .iter()
+                .map(|lock| {
+                    filebench_cell(FileBenchConfig {
+                        lock,
+                        wait,
+                        threads,
+                        read_pct: 50,
+                        dist: OffsetDist::Uniform,
+                        duration: filebench_duration(opts.quick),
+                    })
+                    .ops_per_sec()
+                })
+                .collect();
+            table.push_row(threads as u64, row);
         }
-        emit(&table, opts.json);
+        tables.push(table);
     }
+    tables
 }
 
 /// Two tables per lock variant: owners (rows) × driver (columns) with fixed
@@ -902,30 +1071,6 @@ fn asyncbench_tables(owner_counts: &[usize], ops_per_owner: u64) -> Vec<Table> {
         tables.push(latency);
     }
     tables
-}
-
-fn run_asyncbench_tables(opts: &Options, owner_counts: &[usize], ops_per_owner: u64) {
-    for table in asyncbench_tables(owner_counts, ops_per_owner) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_asyncbench(opts: &Options) {
-    let owner_counts = oversub_threads(opts);
-    // Enough work per owner that the backlog spans many scheduler
-    // timeslices — otherwise thread-per-owner "runs" are really sequential
-    // timeslice-sized bursts that never contend.
-    let ops = if opts.quick { 12_000 } else { 60_000 };
-    run_asyncbench_tables(opts, &owner_counts, ops);
-}
-
-/// A bounded asyncbench for CI: every variant and driver with small counts,
-/// so the async paths (pool scheduling, waker wakes, cancellation-free
-/// completion) run on every push regardless of runner size.
-fn run_asyncbench_quick(opts: &Options) {
-    let cores = available_cores();
-    let owner_counts = [cores.max(2), 4 * cores];
-    run_asyncbench_tables(opts, &owner_counts, 300);
 }
 
 /// Two tables per lock variant — connections (rows) × read mix (columns)
@@ -1015,30 +1160,6 @@ fn serverbench_tables(connection_counts: &[usize], ops_per_conn: u64) -> Vec<Tab
     tables
 }
 
-fn run_serverbench_tables(opts: &Options, connection_counts: &[usize], ops_per_conn: u64) {
-    for table in serverbench_tables(connection_counts, ops_per_conn) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_serverbench(opts: &Options) {
-    let connection_counts: &[usize] = if opts.threads_overridden {
-        &opts.threads
-    } else {
-        &[1, 4, 16, 64]
-    };
-    let ops = if opts.quick { 400 } else { 5_000 };
-    run_serverbench_tables(opts, connection_counts, ops);
-}
-
-/// A bounded serverbench for CI: every variant over the in-process
-/// transport plus the TCP spot check, small connection and op counts —
-/// fixed counts (not core multiples) so the committed baseline rows match
-/// on any runner.
-fn run_serverbench_quick(opts: &Options) {
-    run_serverbench_tables(opts, &[1, 2, 4], 200);
-}
-
 /// Two tables per lock variant: threads (rows) × driver (columns) at a
 /// fixed batch size — the interesting shape is the gap between one atomic
 /// `lock_many` transaction and `batch_size` sequential deadlock-checked
@@ -1106,44 +1227,9 @@ fn batch_tables(thread_counts: &[usize], batch_size: usize, duration: Duration) 
     tables
 }
 
-fn run_batch_tables(
-    opts: &Options,
-    thread_counts: &[usize],
-    batch_size: usize,
-    duration: Duration,
-) {
-    for table in batch_tables(thread_counts, batch_size, duration) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_batch(opts: &Options) {
-    let duration = if opts.quick {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(2)
-    };
-    for batch_size in [2usize, 8] {
-        run_batch_tables(opts, &opts.threads, batch_size, duration);
-    }
-}
-
-/// A bounded batch sweep for CI: every variant under both drivers, so the
-/// batched two-phase apply, the rollback paths, and the waits-for graph
-/// bookkeeping all run contended on every push.
-fn run_batch_quick(opts: &Options) {
-    run_batch_tables(opts, &[1, 2], 3, Duration::from_millis(50));
-}
-
-/// ParkBench: the keyed parking lot against the broadcast eventcount.
-fn run_parkbench(opts: &Options, quick: bool) {
-    for table in parkbench::tables(quick) {
-        emit(&table, opts.json);
-    }
-}
-
-/// ObsBench measurement parameters: (iterations per rep, reps).
-fn obsbench_scale(quick: bool) -> (u64, u32) {
+/// Iterations per rep and reps for the single-thread timing loops of
+/// `fastpath` and `obsbench`.
+fn timing_scale(quick: bool) -> (u64, u32) {
     if quick {
         (300_000, 3)
     } else {
@@ -1151,110 +1237,70 @@ fn obsbench_scale(quick: bool) -> (u64, u32) {
     }
 }
 
-/// One single-row table: the four recording regimes as columns, ns per
-/// uncontended acquire/release pair as the metric.
-fn obsbench_table(results: &[obsbench::ObsBenchResult]) -> Table {
-    let columns: Vec<String> = results.iter().map(|r| r.mode.to_string()).collect();
+/// The Section 4.5 ablation: single-thread acquire+release latency of every
+/// lock, with and without the list lock's one-CAS fast path and fairness
+/// gate. This is what a single-threaded application pays for using a range
+/// lock at all (the kernel range lock has no fast path, Section 3).
+fn fastpath(opts: &Options) -> Vec<Table> {
+    let (iters, reps) = timing_scale(opts.quick);
+    let range = Range::new(10, 20);
+    let list = ListRangeLock::new();
+    let no_fast_path = ListRangeLock::with_config(ListLockConfig {
+        fast_path: false,
+        ..Default::default()
+    });
+    let fairness = ListRangeLock::with_config(ListLockConfig {
+        fairness: true,
+        ..Default::default()
+    });
+    let list_block = ListRangeLock::<Block>::with_policy();
+    let rw_block = RwListRangeLock::<Block>::with_policy();
+    let rw = RwListRangeLock::new();
+    let lustre = TreeRangeLock::new();
+    let kernel = RwTreeRangeLock::new();
+    let pnova = SegmentRangeLock::new(256, 256);
+    // One column per configuration: its name and the acquisition timed
+    // (acquire, then drop the guard).
+    macro_rules! cell {
+        ($name:literal, $acquire:expr) => {
+            ($name, best_ns_per_op(iters, reps, || drop($acquire)))
+        };
+    }
+    let cells = [
+        cell!("list-ex/fast-path", list.acquire(range)),
+        cell!("list-ex/no-fast-path", no_fast_path.acquire(range)),
+        cell!("list-ex/fairness-on", fairness.acquire(range)),
+        // The wait-policy layer must keep the uncontended fast path a pure
+        // atomic sequence: the two Block cells stay within noise of their
+        // default-policy twins.
+        cell!("list-ex/block-policy", list_block.acquire(range)),
+        cell!("list-rw/block-policy", rw_block.write(range)),
+        cell!("list-rw/write", rw.write(range)),
+        cell!("list-rw/read", rw.read(range)),
+        cell!("lustre-ex", lustre.acquire(range)),
+        cell!("kernel-rw/write", kernel.write(range)),
+        cell!("pnova-rw/write", pnova.write(range)),
+        cell!("pnova-rw/full-range", pnova.write(Range::FULL)),
+    ];
     let mut table = Table::new(
-        "ObsBench: uncontended acquire+release, list-ex fast path",
+        "Fast path: uncontended acquire+release, single thread",
         "threads",
         "ns/op",
-        columns,
+        cells.iter().map(|(name, _)| name.to_string()).collect(),
     );
-    table.push_row(1, results.iter().map(|r| r.ns_per_op).collect());
-    table
+    table.push_row(1, cells.iter().map(|&(_, ns)| ns).collect());
+    vec![table]
 }
 
-fn obsbench_tables(quick: bool) -> Vec<Table> {
-    let (iters, reps) = obsbench_scale(quick);
-    vec![obsbench_table(&obsbench::run(iters, reps))]
-}
-
-fn run_obsbench(opts: &Options) {
-    let (iters, reps) = obsbench_scale(opts.quick);
-    let results = obsbench::run(iters, reps);
-    emit(&obsbench_table(&results), opts.json);
-    if !opts.json {
-        let baseline = results[0];
-        for result in &results[1..] {
-            println!(
-                "  {}: {:+.1}% vs baseline ({:.1} ns/op vs {:.1} ns/op)",
-                result.mode,
-                result.overhead_pct(&baseline),
-                result.ns_per_op,
-                baseline.ns_per_op
-            );
-        }
-        println!();
-    }
-}
-
-/// The regression gate: re-runs the quick sweeps, parses the committed
-/// `BENCH_*.json` baselines, and exits nonzero if any cell got more than
-/// `--tolerance` times worse (direction-aware; see `rl_bench::perfdiff`).
+/// The regression gate: re-runs every experiment that has a committed
+/// baseline and exits nonzero if any cell got more than `--tolerance` times
+/// worse (direction-aware; see `rl_bench::perfdiff`).
 fn run_perfdiff(opts: &Options) {
-    // obsbench last: it installs the process-global recorder, and the other
-    // fresh runs should see the same (never-installed) state the committed
-    // baselines were recorded under.
-    //
-    // One FIGURE5 sweep feeds the fig5/fig7/fig8 baselines — the three
-    // figures are different projections of the same measurements.
-    let fig578_sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    let fig6_sweeps = metis_sweep(&rl_vm::Strategy::FIGURE6, opts);
-    let pairs: Vec<(&str, Vec<Table>)> = vec![
-        ("BENCH_fig5.json", fig5_tables(&fig578_sweeps)),
-        ("BENCH_fig6.json", fig6_tables(&fig6_sweeps)),
-        // Figure 7's avg-wait and companion tables gate; the wait-percentile
-        // tables are excluded from the fresh set. Their p50/p99 come from
-        // whether a handful of acquisitions happened to park, which flaps
-        // orders of magnitude run-to-run on an oversubscribed runner. The
-        // percentile tables stay in the committed baseline for reference;
-        // unmatched baseline tables skip.
-        (
-            "BENCH_fig7.json",
-            fig7_tables(&fig578_sweeps, opts.quick)
-                .into_iter()
-                .filter(|table| !table.title.contains("wait percentiles"))
-                .collect(),
-        ),
-        ("BENCH_fig8.json", fig8_tables(&fig578_sweeps)),
-        ("BENCH_skip.json", skip_sweep_tables(opts)),
-        ("BENCH_filebench.json", filebench_tables(opts)),
-        (
-            "BENCH_async.json",
-            asyncbench_tables(
-                &oversub_threads(opts),
-                if opts.quick { 12_000 } else { 60_000 },
-            ),
-        ),
-        ("BENCH_batch.json", {
-            let duration = if opts.quick {
-                Duration::from_millis(300)
-            } else {
-                Duration::from_secs(2)
-            };
-            let mut tables = Vec::new();
-            for batch_size in [2usize, 8] {
-                tables.extend(batch_tables(&opts.threads, batch_size, duration));
-            }
-            tables
-        }),
-        ("BENCH_park.json", parkbench::tables(opts.quick)),
-        // Gate throughput and the transport comparison only: the op-latency
-        // p99 columns come from a few hundred samples per cell and flap well
-        // past tolerance under runner jitter. The latency tables stay in the
-        // committed baseline for human reference; unmatched tables skip.
-        (
-            "BENCH_server.json",
-            serverbench_tables(&[1, 2, 4], 200)
-                .into_iter()
-                .filter(|table| !table.title.contains("op latency"))
-                .collect(),
-        ),
-        ("BENCH_obs.json", obsbench_tables(opts.quick)),
-    ];
     let mut failed = false;
-    for (path, fresh_tables) in pairs {
+    for experiment in EXPERIMENTS {
+        let Some(path) = experiment.baseline else {
+            continue;
+        };
         let Ok(text) = std::fs::read_to_string(path) else {
             println!("perfdiff: {path} not found — skipped");
             continue;
@@ -1267,6 +1313,10 @@ fn run_perfdiff(opts: &Options) {
                 continue;
             }
         };
+        let fresh_tables: Vec<Table> = (experiment.tables)(opts)
+            .into_iter()
+            .filter(|t| !experiment.ungated.iter().any(|u| t.title.contains(u)))
+            .collect();
         let mut fresh = perfdiff::tables_to_parsed(&fresh_tables);
         if opts.inject_regression {
             perfdiff::inject_regression(&mut fresh);
@@ -1299,67 +1349,110 @@ fn main() {
             opts.threads
         );
     }
-    for experiment in opts.experiments.clone() {
-        match experiment.as_str() {
-            "fig3-full" => run_fig3(RangePolicy::FullRange, &opts),
-            "fig3-nonoverlap" => run_fig3(RangePolicy::NonOverlapping, &opts),
-            "fig3-random" => run_fig3(RangePolicy::Random, &opts),
-            "fig3-quick" => run_fig3_quick(&opts),
-            "fig3-oversub" => run_fig3_oversub(&opts),
-            "fig4" => run_fig4(&opts),
-            "skip-sweep" => run_skip_sweep(&opts),
-            "skipbench-quick" => run_skipbench_quick(&opts),
-            "fig5" => run_fig5(&opts),
-            "fig5-quick" => run_fig5_quick(&opts),
-            "fig6" => run_fig6(&opts),
-            "fig6-quick" => run_fig6_quick(&opts),
-            "fig7" => run_fig7(&opts),
-            "fig8" => run_fig8(&opts),
-            "filebench" => run_filebench(&opts),
-            "filebench-oversub" => run_filebench_oversub(&opts),
-            "asyncbench" => run_asyncbench(&opts),
-            "asyncbench-quick" => run_asyncbench_quick(&opts),
-            "batch" => run_batch(&opts),
-            "batch-quick" => run_batch_quick(&opts),
-            "parkbench" => run_parkbench(&opts, opts.quick),
-            "parkbench-quick" => run_parkbench(&opts, true),
-            "serverbench" => run_serverbench(&opts),
-            "serverbench-quick" => run_serverbench_quick(&opts),
-            "obsbench" => run_obsbench(&opts),
-            "obsbench-quick" => {
-                let quick = Options {
-                    quick: true,
-                    ..opts.clone()
-                };
-                run_obsbench(&quick);
-            }
+    for name in &opts.experiments {
+        match name.as_str() {
             "perfdiff" => run_perfdiff(&opts),
             "all" => {
-                run_fig3(RangePolicy::FullRange, &opts);
-                run_fig3(RangePolicy::NonOverlapping, &opts);
-                run_fig3(RangePolicy::Random, &opts);
-                run_fig3_oversub(&opts);
-                run_fig4(&opts);
-                run_skip_sweep(&opts);
-                run_fig5(&opts);
-                run_fig6(&opts);
-                run_fig7(&opts);
-                run_fig8(&opts);
-                run_filebench(&opts);
-                run_filebench_oversub(&opts);
-                run_asyncbench(&opts);
-                run_batch(&opts);
-                run_parkbench(&opts, opts.quick);
-                run_serverbench(&opts);
-                // Last: obsbench installs the process-global recorder, and
-                // every earlier experiment should measure the pristine
-                // (never-installed) state.
-                run_obsbench(&opts);
+                for experiment in EXPERIMENTS.iter().filter(|e| e.in_all) {
+                    emit(&(experiment.tables)(&opts), opts.json);
+                }
             }
-            other => {
-                eprintln!("unknown experiment '{other}'; run with --help for the list");
-                std::process::exit(2);
+            name => {
+                let experiment = lookup(name).expect("names are checked at parse time");
+                emit(&(experiment.tables)(&opts), opts.json);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_names_are_unique() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[i + 1..].iter().all(|o| o.name != e.name),
+                "duplicate experiment {}",
+                e.name
+            );
+            assert!(
+                !matches!(e.name, "all" | "perfdiff"),
+                "{} is reserved",
+                e.name
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_names_fail_lookup() {
+        assert!(lookup("fig4").is_some());
+        assert!(lookup("no-such-experiment").is_none());
+        assert!(lookup("all").is_none());
+        assert!(lookup("perfdiff").is_none());
+    }
+
+    fn repo_root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    #[test]
+    fn every_baseline_exists() {
+        for e in EXPERIMENTS {
+            if let Some(path) = e.baseline {
+                assert!(
+                    repo_root().join(path).is_file(),
+                    "{}: {path} missing",
+                    e.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_committed_baseline_has_exactly_one_owner() {
+        let mut found = 0;
+        for entry in std::fs::read_dir(repo_root()).expect("repo root is readable") {
+            let name = entry.expect("directory entry").file_name();
+            let name = name.to_string_lossy();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            found += 1;
+            let owners: Vec<&str> = EXPERIMENTS
+                .iter()
+                .filter(|e| e.baseline == Some(&*name))
+                .map(|e| e.name)
+                .collect();
+            assert_eq!(owners.len(), 1, "{name} is gated by {owners:?}");
+        }
+        assert!(found > 0, "no BENCH_*.json found at the repo root");
+    }
+
+    #[test]
+    fn obsbench_runs_last() {
+        // It installs the process-global recorder for good; anything after
+        // it would measure an instrumented fast path.
+        let last = EXPERIMENTS.last().expect("table is not empty");
+        assert_eq!(last.name, "obsbench");
+        assert!(last.in_all && last.baseline.is_some());
+    }
+
+    #[test]
+    fn thread_entries_parse_counts_and_multipliers() {
+        let cores = available_cores();
+        assert_eq!(parse_thread_entry("8"), Ok(8));
+        assert_eq!(parse_thread_entry(" 3 "), Ok(3));
+        assert_eq!(parse_thread_entry("1x"), Ok(cores));
+        assert_eq!(parse_thread_entry("4x"), Ok(4 * cores));
+    }
+
+    #[test]
+    fn thread_entries_reject_garbage_and_zero() {
+        for bad in ["abc", "", "x", "0", "0x", "-1", "2.5", "2y", "x2"] {
+            let err = parse_thread_entry(bad).expect_err(bad);
+            assert!(err.contains("--threads"), "{bad}: {err}");
         }
     }
 }

@@ -21,6 +21,7 @@
 //!   lock table;
 //! * [`obsbench`] — overhead of the `rl-obs` observability layer on the
 //!   uncontended fast path (recorder absent / disabled / sampled / full);
+//!   its best-of-reps timing loop also drives `repro -- fastpath`;
 //! * [`parkbench`] — the keyed parking lot vs the broadcast eventcount:
 //!   spurious wakeups per release (O(parked waiters) vs ~0), wake-to-run
 //!   latency, and a disjoint-pair lock storm under the `Block` policy;
@@ -33,9 +34,9 @@
 //!   direction-aware (throughput down, p50/p99 latency up);
 //! * [`report`] — table rendering shared by the `repro` binary.
 //!
-//! The `repro` binary drives full thread sweeps and prints one table per
-//! figure; the Criterion benches under `benches/` time representative single
-//! configurations so `cargo bench` stays fast.
+//! The `repro` binary declares every experiment once, in one table: it
+//! drives the sweeps, prints one table per figure, and gates the committed
+//! baselines through [`perfdiff`].
 
 #![warn(missing_docs)]
 

@@ -4,8 +4,8 @@
 //! one-CAS acquire), which is exactly where instrumentation overhead would
 //! hurt: a contended acquisition already costs a list traversal, but the
 //! fast path is ~70 ns of straight-line atomics. This benchmark times the
-//! `lock_overhead` loop shape — single-thread `acquire`/`release` of a fixed
-//! range on the exclusive list lock — under four recording regimes:
+//! `repro -- fastpath` loop shape — single-thread `acquire`/`release` of a
+//! fixed range on the exclusive list lock — under four recording regimes:
 //!
 //! * **baseline** — no recorder has ever been installed in the process;
 //!   every emission helper is the relaxed load of the master switch and a
@@ -34,7 +34,7 @@ use std::time::Instant;
 use range_lock::{ListRangeLock, Range};
 use rl_obs::{trace, Recorder, RecorderConfig};
 
-/// The fixed range every iteration acquires (the `lock_overhead` shape).
+/// The fixed range every iteration acquires (the `fastpath` shape).
 const RANGE: Range = Range { start: 10, end: 20 };
 
 /// The four recording regimes, in measurement order.
@@ -56,24 +56,29 @@ impl ObsBenchResult {
     }
 }
 
-/// Times `iters` uncontended acquire/release pairs, best of `reps` runs
-/// (the least-perturbed run is the honest measurement on a shared machine).
-fn measure(iters: u64, reps: u32) -> f64 {
-    let lock = ListRangeLock::new();
-    // Warm up: fault in the lock's head slot and the emission path.
+/// Times `iters` calls of `op`, best of `reps` runs, in ns per call (the
+/// least-perturbed run is the honest measurement on a shared machine). The
+/// first `min(iters, 10_000)` calls are an untimed warm-up.
+pub fn best_ns_per_op(iters: u64, reps: u32, mut op: impl FnMut()) -> f64 {
     for _ in 0..iters.min(10_000) {
-        drop(lock.acquire(RANGE));
+        op();
     }
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
         for _ in 0..iters {
-            drop(lock.acquire(RANGE));
+            op();
         }
         let ns = started.elapsed().as_nanos() as f64 / iters as f64;
         best = best.min(ns);
     }
     best
+}
+
+/// Times `iters` uncontended acquire/release pairs, best of `reps` runs.
+fn measure(iters: u64, reps: u32) -> f64 {
+    let lock = ListRangeLock::new();
+    best_ns_per_op(iters, reps, || drop(lock.acquire(RANGE)))
 }
 
 /// Runs all four regimes and returns one result per [`MODES`] entry, in
