@@ -42,7 +42,7 @@ use std::time::Instant;
 use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock};
 use rl_sync::stats::{WaitKind, WaitStats};
 use rl_sync::wait::{Block, WaitPolicy, WaitQueue};
-use rl_sync::{CachePadded, RwSemReadGuard, RwSemWriteGuard, RwSemaphore, SpinLock};
+use rl_sync::{CachePadded, RwSemReadGuard, RwSemWriteGuard, RwSemaphore, SpinLock, KEY_ANY};
 
 /// Tuning for adaptive segmentation; see the module docs. Construct with
 /// [`AdaptiveConfig::for_geometry`] and adjust fields as needed.
@@ -385,7 +385,7 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
                             // contract, wake the lock-level queue now that
                             // the segments are free again so that attempt
                             // re-runs.
-                            self.queue.wake_all();
+                            self.queue.wake(KEY_ANY);
                         }
                         return None;
                     }
@@ -418,7 +418,7 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
                         if held_any {
                             // See `try_read`: rollback of a partial hold
                             // must wake suspended pollers.
-                            self.queue.wake_all();
+                            self.queue.wake(KEY_ANY);
                         }
                         return None;
                     }
@@ -506,7 +506,7 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
         // Release the retired table's segments last: waiters parked on them
         // acquire, fail the seq validation, and migrate to the new table.
         drop(quiesce);
-        self.queue.wake_all();
+        self.queue.wake(KEY_ANY);
     }
 }
 
@@ -571,7 +571,7 @@ impl<P: WaitPolicy> Drop for SegmentReadGuard<'_, P> {
         // acquisitions (sync waiters are woken by the per-segment releases),
         // then give the adaptive clock its tick.
         self.guards.clear();
-        self.lock.queue.wake_all();
+        self.lock.queue.wake(KEY_ANY);
         self.lock.maybe_rebalance();
     }
 }
@@ -586,7 +586,7 @@ pub struct SegmentWriteGuard<'a, P: WaitPolicy = Block> {
 impl<P: WaitPolicy> Drop for SegmentWriteGuard<'_, P> {
     fn drop(&mut self) {
         self.guards.clear();
-        self.lock.queue.wake_all();
+        self.lock.queue.wake(KEY_ANY);
         self.lock.maybe_rebalance();
     }
 }
@@ -632,8 +632,13 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for SegmentRangeLock<P> {
         &self.queue
     }
 
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        P::wait_until_deadline(&self.queue, cond, deadline)
+    fn wait_deadline_keyed(
+        &self,
+        key: u64,
+        cond: &mut dyn FnMut() -> bool,
+        deadline: std::time::Instant,
+    ) -> bool {
+        P::wait(&self.queue, key, cond, Some(deadline))
     }
 }
 

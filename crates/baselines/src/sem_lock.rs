@@ -125,8 +125,13 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for WholeSpaceSem<P> {
         self.sem.wait_queue()
     }
 
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        P::wait_until_deadline(self.sem.wait_queue(), cond, deadline)
+    fn wait_deadline_keyed(
+        &self,
+        key: u64,
+        cond: &mut dyn FnMut() -> bool,
+        deadline: std::time::Instant,
+    ) -> bool {
+        P::wait(self.sem.wait_queue(), key, cond, Some(deadline))
     }
 }
 

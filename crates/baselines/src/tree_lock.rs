@@ -113,9 +113,8 @@ impl<P: WaitPolicy> TreeLockInner<P> {
         // key, so an unrelated release leaves it parked.
         if waiter.blocked.load(Ordering::Acquire) != 0 {
             let wait_key = Arc::as_ptr(&waiter) as u64;
-            P::wait_until_keyed(&self.queue, wait_key, || {
-                waiter.blocked.load(Ordering::Acquire) == 0
-            });
+            let unblocked = || waiter.blocked.load(Ordering::Acquire) == 0;
+            P::wait(&self.queue, wait_key, unblocked, None);
             if let Some(s) = &self.stats {
                 let kind = if reader {
                     WaitKind::Read
@@ -198,7 +197,7 @@ impl<P: WaitPolicy> TreeLockInner<P> {
             self.queue.wake_unkeyed();
         } else {
             for key in unblocked {
-                P::wake_key(&self.queue, key);
+                self.queue.wake(key);
             }
         }
     }
@@ -523,8 +522,13 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for TreeRangeLock<P> {
         &self.inner.queue
     }
 
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        P::wait_until_deadline(&self.inner.queue, cond, deadline)
+    fn wait_deadline_keyed(
+        &self,
+        key: u64,
+        cond: &mut dyn FnMut() -> bool,
+        deadline: std::time::Instant,
+    ) -> bool {
+        P::wait(&self.inner.queue, key, cond, Some(deadline))
     }
 }
 
@@ -558,8 +562,13 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for RwTreeRangeLock<P> {
         &self.inner.queue
     }
 
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        P::wait_until_deadline(&self.inner.queue, cond, deadline)
+    fn wait_deadline_keyed(
+        &self,
+        key: u64,
+        cond: &mut dyn FnMut() -> bool,
+        deadline: std::time::Instant,
+    ) -> bool {
+        P::wait(&self.inner.queue, key, cond, Some(deadline))
     }
 }
 

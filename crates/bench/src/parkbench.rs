@@ -9,7 +9,7 @@
 //!   next round. The *eventcount* leg parks everyone unkeyed and wakes with
 //!   the broadcast, so every release herds all `W` waiters awake —
 //!   `W - 1` of them spuriously. The *keyed* leg parks under per-waiter
-//!   keys and wakes with [`WaitQueue::wake_key`], so a release costs O(1)
+//!   keys and wakes one key with [`WaitQueue::wake`], so a release costs O(1)
 //!   wakeups however many waiters are parked. The spurious-wakeups-per-
 //!   release column is the paper-facing number: O(parked waiters) vs ~0.
 //!   Wake-to-run latency (stamped by the releaser, recorded by the woken
@@ -30,7 +30,7 @@ use range_lock::{Range, RwListRangeLock};
 use rl_obs::LatencyHistogram;
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::Block;
-use rl_sync::WaitQueue;
+use rl_sync::{WaitQueue, KEY_ANY};
 
 use crate::report::Table;
 
@@ -52,6 +52,17 @@ impl ParkMode {
         match self {
             ParkMode::Eventcount => "eventcount",
             ParkMode::Keyed => "keyed",
+        }
+    }
+
+    /// The key waiter `i` parks under and its release wakes: `KEY_ANY`
+    /// (the condvar herd) for the eventcount leg, distinct per-waiter keys
+    /// for the keyed leg, spread so neighbouring waiters land in different
+    /// shards (and some collide).
+    fn key(self, i: usize) -> u64 {
+        match self {
+            ParkMode::Eventcount => KEY_ANY,
+            ParkMode::Keyed => 0x40 + i as u64 * 7,
         }
     }
 }
@@ -128,12 +139,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
                 let mut last = 0u64;
                 loop {
                     let cond = || boxes[i].round.load(Ordering::Acquire) != last;
-                    match mode {
-                        ParkMode::Eventcount => queue.park_until(cond),
-                        // Distinct keys, spread so neighbouring waiters
-                        // land in different shards (and some collide).
-                        ParkMode::Keyed => queue.park_until_keyed(0x40 + i as u64 * 7, cond),
-                    }
+                    queue.park(mode.key(i), cond, None);
                     let round = boxes[i].round.load(Ordering::Acquire);
                     if round == u64::MAX {
                         return;
@@ -157,10 +163,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
         let target = (r % waiters as u64) as usize;
         boxes[target].round.store(r, Ordering::Release);
         wake_stamp.store(base.elapsed().as_nanos() as u64, Ordering::Release);
-        match mode {
-            ParkMode::Eventcount => queue.wake_all(),
-            ParkMode::Keyed => queue.wake_key(0x40 + target as u64 * 7),
-        }
+        queue.wake(mode.key(target));
         while boxes[target].ack.load(Ordering::Acquire) != r {
             std::thread::yield_now();
         }
@@ -170,7 +173,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
     for mb in boxes.iter() {
         mb.round.store(u64::MAX, Ordering::Release);
     }
-    queue.wake_all();
+    queue.wake(KEY_ANY);
     for t in threads {
         t.join().expect("parkbench waiter panicked");
     }

@@ -243,14 +243,6 @@ pub trait DynTwoPhaseRwRangeLock: Send + Sync {
     /// [`TwoPhaseRwRangeLock::wait_queue`].
     fn wait_queue_dyn(&self) -> &rl_sync::wait::WaitQueue;
 
-    /// Policy-aware deadline wait; see
-    /// [`TwoPhaseRwRangeLock::wait_deadline`].
-    fn wait_deadline_dyn(
-        &self,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool;
-
     /// Wait key of the conflict blocking a pending shared acquisition; see
     /// [`TwoPhaseRwRangeLock::pending_read_wait_key`].
     fn pending_read_wait_key_dyn(&self, pending: &DynPending) -> u64;
@@ -330,14 +322,6 @@ where
 
     fn wait_queue_dyn(&self) -> &rl_sync::wait::WaitQueue {
         self.wait_queue()
-    }
-
-    fn wait_deadline_dyn(
-        &self,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool {
-        self.wait_deadline(cond, deadline)
     }
 
     fn pending_read_wait_key_dyn(&self, pending: &DynPending) -> u64 {
@@ -433,10 +417,6 @@ impl TwoPhaseRwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
 
     fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
         (**self).wait_queue_dyn()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        (**self).wait_deadline_dyn(cond, deadline)
     }
 
     fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {

@@ -514,7 +514,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
                             // The node was published; wake any writer already
                             // waiting on it.
                             lock_node.mark_deleted();
-                            P::wake_key(&self.queue, to_ptr(lock_node));
+                            self.queue.wake(to_ptr(lock_node));
                         }
                         ok
                     } else {
@@ -702,7 +702,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
             // SAFETY: Published and never released: alive, marked once.
             let node_ref = unsafe { &*node };
             node_ref.mark_deleted();
-            P::wake_key(&self.queue, to_ptr(node_ref));
+            self.queue.wake(to_ptr(node_ref));
         } else {
             // SAFETY: Never published; exclusively owned by the token.
             unsafe { reclaim::free_node_now(node) };
@@ -761,7 +761,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
         // Wake hook: waiters poll for the mark set above. Keyed on our own
         // node — the only node whose mark this release changed — so waiters
         // parked on other conflicts stay parked.
-        P::wake_key(&self.queue, to_ptr(node_ref));
+        self.queue.wake(to_ptr(node_ref));
         if rl_obs::trace::is_enabled() {
             rl_obs::trace::emit_here(
                 rl_obs::EventKind::Release,
@@ -791,7 +791,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
         // SAFETY: Per this function's contract the node is still alive.
         let node_ref = unsafe { &*guard.node };
         node_ref.set_reader();
-        P::wake_key(&self.queue, to_ptr(node_ref));
+        self.queue.wake(to_ptr(node_ref));
     }
 
     /// Returns the number of currently held (not logically deleted) ranges.
@@ -946,9 +946,10 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
                     let sharable = M::READERS_SHARE && reader;
                     // Keyed on the conflicting node: only *its* release (or
                     // downgrade) wakes us, not every release on the lock.
-                    P::wait_until_keyed(&self.queue, to_ptr(cn), || {
+                    let cleared = || {
                         is_marked(cn.next.load(Ordering::Acquire)) || (sharable && cn.is_reader())
-                    });
+                    };
+                    P::wait(&self.queue, to_ptr(cn), cleared, None);
                     // Loop around: a marked node is unlinked above, a
                     // downgraded one re-compares as a reader.
                 }
@@ -1083,9 +1084,9 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
                 // writer's node) until it marks itself as deleted or
                 // downgrades to a reader.
                 *contended = true;
-                P::wait_until_keyed(&self.queue, to_ptr(cur_node), || {
-                    is_marked(cur_node.next.load(Ordering::Acquire)) || cur_node.is_reader()
-                });
+                let cleared =
+                    || is_marked(cur_node.next.load(Ordering::Acquire)) || cur_node.is_reader();
+                P::wait(&self.queue, to_ptr(cur_node), cleared, None);
             }
         }
     }
@@ -1148,7 +1149,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
                 // had already started waiting on our published node.
                 *contended = true;
                 lock_node.mark_deleted();
-                P::wake_key(&self.queue, to_ptr(lock_node));
+                self.queue.wake(to_ptr(lock_node));
                 return false;
             }
         }

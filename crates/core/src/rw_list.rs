@@ -325,10 +325,6 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for RwListRangeLock<P> {
         self.core.wait_queue()
     }
 
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool {
-        P::wait_until_deadline(self.core.wait_queue(), cond, deadline)
-    }
-
     fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
         pending.wait_key()
     }
@@ -343,7 +339,7 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for RwListRangeLock<P> {
         cond: &mut dyn FnMut() -> bool,
         deadline: Instant,
     ) -> bool {
-        P::wait_until_deadline_keyed(self.core.wait_queue(), key, cond, deadline)
+        P::wait(self.core.wait_queue(), key, cond, Some(deadline))
     }
 }
 

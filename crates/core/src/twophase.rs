@@ -44,9 +44,9 @@
 //!
 //! Async waiters never spin, *regardless of the lock's wait policy*: the
 //! future registers a waker on the lock's [`WaitQueue`] and suspends. Every
-//! release path wakes that queue — since the async layer, even the spinning
-//! policies' release hook performs the generation bump that feeds
-//! registered wakers (see `rl_sync::wait`). Lost wakeups are excluded by
+//! release path calls [`WaitQueue::wake`] whatever the policy, and every
+//! wake bumps the generation that feeds registered wakers (see
+//! `rl_sync::wait`). Lost wakeups are excluded by
 //! the snapshot-register-recheck protocol documented there: the future
 //! snapshots the queue generation *before* polling the lock, and a
 //! registration against a stale snapshot fails, forcing a re-poll.
@@ -115,12 +115,6 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     /// The queue suspended acquisitions wait on; every release wakes it.
     fn wait_queue(&self) -> &WaitQueue;
 
-    /// Waits through this lock's wait policy until `cond` holds or
-    /// `deadline` passes (returning `cond`'s final value). Backs the timed
-    /// acquisition methods; `cond` is the queue-generation check of the
-    /// two-phase wait loop.
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool;
-
     /// The wait key of the conflict that blocked a pending shared
     /// acquisition's most recent poll — the blocking node's address — or
     /// `KEY_ANY` when the lock cannot name one. The timed and async layers
@@ -139,19 +133,19 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
         KEY_ANY
     }
 
-    /// The keyed form of [`TwoPhaseRwRangeLock::wait_deadline`]: waits
-    /// parked under `key` (see `rl_sync::wait`), so the waiter is woken by
-    /// its blocker's release instead of by every release on the lock. The
-    /// default ignores the key.
+    /// Waits through this lock's wait policy until `cond` holds or
+    /// `deadline` passes (returning `cond`'s final value), parked under
+    /// `key` — the wait key of the conflict the last poll observed, or
+    /// `KEY_ANY` — so the waiter is woken by its blocker's release instead
+    /// of by every release on the lock (see `rl_sync::wait`). Backs the
+    /// timed acquisition methods; `cond` is the queue-generation check of
+    /// the two-phase wait loop.
     fn wait_deadline_keyed(
         &self,
         key: u64,
         cond: &mut dyn FnMut() -> bool,
         deadline: Instant,
-    ) -> bool {
-        let _ = key;
-        self.wait_deadline(cond, deadline)
-    }
+    ) -> bool;
 
     /// Acquires `range` in shared mode like [`RwRangeLock::read`], but gives
     /// up — leaving no residue — once `timeout` elapses. An expired attempt
@@ -470,7 +464,7 @@ macro_rules! acquire_future {
                     // lost-wakeup argument in `rl_sync::wait`.
                     let gen = queue.generation();
                     if let Some(guard) = this.lock.$poll(&mut pending) {
-                        queue.deregister_waker_keyed(this.key, this.slot);
+                        queue.deregister_waker(this.key, this.slot);
                         return Poll::Ready(guard);
                     }
                     // Waker-slot migration: the poll may have named a
@@ -478,10 +472,10 @@ macro_rules! acquire_future {
                     // filed under, so re-home the slot before registering.
                     let key = this.lock.$wait_key(&pending);
                     if key != this.key {
-                        queue.deregister_waker_keyed(this.key, this.slot);
+                        queue.deregister_waker(this.key, this.slot);
                         this.key = key;
                     }
-                    if queue.register_waker_keyed(key, this.slot, gen, cx.waker()) {
+                    if queue.register_waker(key, this.slot, gen, cx.waker()) {
                         this.pending = Some(pending);
                         return Poll::Pending;
                     }
@@ -496,7 +490,7 @@ macro_rules! acquire_future {
             fn drop(&mut self) {
                 if let Some(mut pending) = self.pending.take() {
                     let queue = self.lock.wait_queue();
-                    queue.deregister_waker_keyed(self.key, self.slot);
+                    queue.deregister_waker(self.key, self.slot);
                     self.lock.$cancel(&mut pending);
                     queue.record_cancel();
                 }

@@ -131,6 +131,7 @@ use std::task::Poll;
 use std::time::{Duration, Instant};
 
 use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
+use rl_sync::KEY_ANY;
 
 /// How long a blocked synchronous acquisition waits before re-deriving its
 /// waits-for edges. Bounds the detection latency of a cycle whose closing
@@ -630,7 +631,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         // any suspended waiter, including ones keyed on nodes this commit
         // never touches, and a keyed waiter left parked would never re-poll
         // to notice the EDEADLK it is part of.
-        self.lock_ref().wait_queue().wake_all();
+        self.lock_ref().wait_queue().wake(KEY_ANY);
     }
 
     /// Ids of the *other* owners whose committed records block `owner_id`
@@ -691,8 +692,10 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// lock's two-phase protocol, and between polls (re-)derives this
     /// owner's waits-for edges from the committed table. An edge set that
     /// closes a cycle cancels the pending acquisition and fails with
-    /// `EDEADLK`; otherwise the wait is bounded by [`DEADLOCK_RECHECK`] so
-    /// a cycle committed behind this waiter's back is still noticed.
+    /// `EDEADLK`; otherwise the waiter waits, keyed on the conflict its
+    /// poll observed, until the queue generation moves (any release or
+    /// commit) or [`DEADLOCK_RECHECK`] passes, so a cycle committed behind
+    /// this waiter's back is still noticed.
     fn acquire_tile_checked(
         &self,
         owner_id: u64,
@@ -701,9 +704,17 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     ) -> Result<Tile<L>, DeadlockError> {
         let lock = self.lock_ref();
         macro_rules! checked {
-            ($enqueue:ident, $poll:ident, $cancel:ident, $variant:ident, $Guard:ident) => {{
+            (
+                $enqueue:ident, $poll:ident, $cancel:ident, $wait_key:ident,
+                $variant:ident, $Guard:ident
+            ) => {{
+                let queue = lock.wait_queue();
                 let mut pending = lock.$enqueue(range);
                 loop {
+                    // Snapshot before polling, as `timeout_loop` does: a
+                    // release between the poll and the wait moves the
+                    // generation and ends the wait at once.
+                    let gen = queue.generation();
                     if let Some(g) = lock.$poll(&mut pending) {
                         self.waits.deregister(owner_id);
                         // SAFETY: As in `acquire_tile` — the lock is a stable
@@ -717,7 +728,6 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                     let holders = self.conflicting_owner_ids(owner_id, range, mode);
                     if let Err(cycle) = self.waits.register(owner_id, &holders) {
                         lock.$cancel(&mut pending);
-                        let queue = lock.wait_queue();
                         queue.record_cancel();
                         queue.record_deadlock();
                         rl_obs::trace::emit(
@@ -729,16 +739,29 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                         );
                         return Err(self.deadlock_error(cycle.cycle()));
                     }
+                    let key = lock.$wait_key(&pending);
                     let deadline = Instant::now() + DEADLOCK_RECHECK;
-                    lock.wait_deadline(&mut || false, deadline);
+                    lock.wait_deadline_keyed(key, &mut || queue.generation() != gen, deadline);
                 }
             }};
         }
         match mode {
-            LockMode::Shared => checked!(enqueue_read, poll_read, cancel_read, Read, ReadGuard),
-            LockMode::Exclusive => {
-                checked!(enqueue_write, poll_write, cancel_write, Write, WriteGuard)
-            }
+            LockMode::Shared => checked!(
+                enqueue_read,
+                poll_read,
+                cancel_read,
+                pending_read_wait_key,
+                Read,
+                ReadGuard
+            ),
+            LockMode::Exclusive => checked!(
+                enqueue_write,
+                poll_write,
+                cancel_write,
+                pending_write_wait_key,
+                Write,
+                WriteGuard
+            ),
         }
     }
 
@@ -1978,6 +2001,9 @@ mod tests {
         let snap = stats.snapshot();
         assert!(snap.parks >= 1);
         assert!(snap.wakes >= 1);
+        // The waiter waits for the release itself, not out a fixed recheck
+        // interval, so no wake finds it with nothing to do.
+        assert_eq!(snap.spurious_wakeups, 0);
         assert_eq!(t.held_records(), 0);
         t.check_invariants();
     }

@@ -118,10 +118,6 @@ impl TwoPhaseRwRangeLock for DynLock {
         self.0.wait_queue()
     }
 
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        self.0.wait_deadline(cond, deadline)
-    }
-
     fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
         self.0.pending_read_wait_key(pending)
     }

@@ -27,6 +27,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::parking::KEY_ANY;
 use crate::stats::{WaitKind, WaitStats};
 use crate::wait::{Block, WaitPolicy, WaitQueue};
 
@@ -236,14 +237,15 @@ impl<P: WaitPolicy> RwSemaphore<P> {
         // a preference-honoring reader would never run. Liveness of the
         // barging phase needs only releases, which always wake the queue.
         let mut polls: u32 = 0;
-        P::wait_until_keyed(&self.queue, READ_WAIT_KEY, || {
+        let cond = || {
             polls = polls.saturating_add(1);
             if polls <= Self::SPIN_ROUNDS {
                 self.try_read_fast()
             } else {
                 self.try_read_any()
             }
-        });
+        };
+        P::wait(&self.queue, READ_WAIT_KEY, cond, None);
         self.finish_timer(timer);
         RwSemReadGuard { sem: self }
     }
@@ -252,11 +254,12 @@ impl<P: WaitPolicy> RwSemaphore<P> {
     fn write_slow(&self) -> RwSemWriteGuard<'_, P> {
         let timer = self.stats.as_ref().map(|s| s.start(WaitKind::Write));
         self.writers_waiting.fetch_add(1, Ordering::Relaxed);
-        P::wait_until_keyed(&self.queue, WRITE_WAIT_KEY, || {
+        let cond = || {
             self.state
                 .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
-        });
+        };
+        P::wait(&self.queue, WRITE_WAIT_KEY, cond, None);
         self.writers_waiting.fetch_sub(1, Ordering::Relaxed);
         self.finish_timer(timer);
         RwSemWriteGuard { sem: self }
@@ -277,7 +280,7 @@ impl<P: WaitPolicy> RwSemaphore<P> {
             // read release (parked readers are waiting out a writer, who
             // will broadcast on its own release), so wake the writer wait
             // class alone and leave reader parkers undisturbed.
-            P::wake_key(&self.queue, WRITE_WAIT_KEY);
+            self.queue.wake(WRITE_WAIT_KEY);
         }
     }
 
@@ -287,7 +290,7 @@ impl<P: WaitPolicy> RwSemaphore<P> {
         // Both wait classes are eligible after a write release (readers may
         // share, the next writer may take over), so this one stays a
         // broadcast.
-        P::wake(&self.queue);
+        self.queue.wake(KEY_ANY);
     }
 }
 

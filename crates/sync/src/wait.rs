@@ -11,66 +11,57 @@
 //!   CPU. The strongest form of the paper's `Pause()` loop; only honest when
 //!   threads ≤ cores.
 //! * [`SpinThenYield`] — busy-wait briefly, then interleave
-//!   [`std::thread::yield_now`] between polls. The workspace default, and
-//!   what every lock did before this layer existed.
+//!   [`std::thread::yield_now`] between polls. The workspace default.
 //! * [`Block`] — busy-wait briefly, then **park** on the lock's
 //!   [`WaitQueue`] until a release wakes the queue. The user-space analogue
 //!   of a futex wait: the kernel-fidelity choice, and the only policy whose
 //!   waiters consume no CPU while descheduled.
 //!
-//! Locks own one [`WaitQueue`] each and call
-//! [`WaitPolicy::wait_until`]/[`WaitPolicy::wake`] instead of open-coded
-//! backoff loops. A release's wake hook costs one generation bump
-//! (fetch-add) plus a handful of loads when no one is waiting, under every
-//! policy.
+//! # One wait, one wake
+//!
+//! Locks own one [`WaitQueue`] each. Every layer has a single wait entry
+//! point taking a **key** — the conflict being waited out, or [`KEY_ANY`]
+//! when the waiter cannot name one — and an optional **deadline**:
+//! [`WaitPolicy::wait`] for sync waiters, [`WaitQueue::park`] underneath
+//! it, and [`WaitQueue::register_waker`] for async ones. Release paths call
+//! [`WaitQueue::wake`] with the key of the conflict they resolved
+//! ([`KEY_ANY`] broadcasts) directly, under every policy: spinning sync
+//! waiters poll on their own, but async waiters never spin, whatever the
+//! lock's policy. A wake costs one generation bump (fetch-add) plus a
+//! handful of loads when no one is waiting. A `None` deadline reads no
+//! clock.
 //!
 //! # Granularity: keyed parking
 //!
 //! The queue is per lock, but waiting is **per conflict**: waiters that know
 //! *which* node or range blocks them park under that address as a key in
 //! the queue's sharded [`ShardTable`] (see [`crate::parking`]), and the
-//! blocker's release calls [`WaitQueue::wake_key`] to wake exactly the
-//! matching entries — a futex analogue with per-conflict wait words. Before
-//! this table existed, a release broadcast to every parked waiter of the
-//! lock, each re-checked its predicate, and the non-matching ones re-parked:
-//! O(parked waiters) spurious wakeups per release under heavy
-//! disjoint-range parking. The herd survives only where it is wanted — the
-//! [`WaitQueue::wake_all`] broadcast remains for guard-drop fallbacks and
-//! deadlock re-derivation, and [`KEY_ANY`] keeps every unkeyed call site on
-//! the classic eventcount paths. Spurious wakeups (woken but re-parked with
-//! the predicate still false) are counted either way, so the
-//! `spurious_wakeups` column in benchmark reports measures the herd
-//! directly.
+//! blocker's release wakes exactly the matching entries — a futex analogue
+//! with per-conflict wait words. A release that broadcast instead would
+//! cost O(parked waiters) spurious wakeups under heavy disjoint-range
+//! parking. The herd survives only where it is wanted: [`KEY_ANY`] wakes
+//! serve guard-drop fallbacks and deadlock re-derivation, and [`KEY_ANY`]
+//! waits keep every unkeyed call site on the classic eventcount path.
+//! Spurious wakeups (woken but re-parked with the predicate still false)
+//! are counted either way, so the `spurious_wakeups` column in benchmark
+//! reports measures the herd directly.
 //!
-//! Every wake — keyed or not — still bumps the shared generation counter
-//! first. That is the compatibility contract that makes the keyed layer
-//! safe to adopt incrementally: a waiter parked unkeyed (or a future
+//! Every wake — keyed or not — bumps the shared generation counter first
+//! and notifies the unkeyed population. That is the compatibility contract
+//! between the two disciplines: a waiter parked unkeyed (or a future
 //! registered unkeyed) can never miss a keyed wake, because the keyed wake
 //! performs the full eventcount signal too; the selectivity is that keyed
-//! *waiters* are no longer in the broadcast herd.
+//! *waiters* are not in the broadcast herd.
 //!
 //! # Waker slots: one queue, two kinds of waiter
 //!
-//! Since the async range-lock API, a waiter slot holds either a **thread**
-//! (parked under [`Block`]) or a [`core::task::Waker`] (registered by an
-//! acquisition-future poll, under *any* policy — an async waiter never spins
-//! regardless of how the lock's sync waiters wait). Keyed waker
-//! registrations ([`WaitQueue::register_waker_keyed`]) live in the same
-//! keyed slots as thread parkers, so one conflict's release wakes its sync
-//! and async waiters together; unkeyed registrations stay on the legacy
-//! per-queue vector. Both kinds hang off the same generation counter, so
-//! the lost-wakeup argument below covers both.
-//!
-//! Because wakers must be woken even on locks whose sync waiters spin, the
-//! spinning policies' [`WaitPolicy::wake`] is not a no-op: it calls
-//! [`WaitQueue::wake_all`]. With keyed parking this is cheaper than it used
-//! to be: deadline parkers that know their key now sleep on
-//! [`std::thread::park_timeout`] in the shard table instead of on the
-//! queue condvar, so a wake whose keyed shard is **provably empty** (one
-//! occupancy load) skips the syscall path entirely — the inefficiency the
-//! old design documented ("deadline parkers sleep on the condvar under any
-//! policy") is gone for keyed deadline parks, and the condvar notify is
-//! still gated on the unkeyed parked-waiter count.
+//! A waiter slot holds either a **thread** (parked under [`Block`]) or a
+//! [`core::task::Waker`] (registered by an acquisition-future poll, under
+//! *any* policy). Keyed waker registrations live in the same keyed slots as
+//! thread parkers, so one conflict's release wakes its sync and async
+//! waiters together; [`KEY_ANY`] registrations stay on a per-queue vector.
+//! Both kinds hang off the same generation counter, so the lost-wakeup
+//! argument below covers both.
 //!
 //! # Lost wakeups
 //!
@@ -105,15 +96,19 @@
 //!
 //! ```
 //! use std::sync::atomic::{AtomicBool, Ordering};
+//! use std::time::{Duration, Instant};
 //! use rl_sync::wait::{Block, WaitPolicy, WaitQueue};
+//! use rl_sync::KEY_ANY;
 //!
 //! let queue = WaitQueue::new();
 //! let flag = AtomicBool::new(true); // pretend a release already happened
-//! Block::wait_until(&queue, || flag.load(Ordering::Acquire));
-//! Block::wake(&queue); // no waiters: a few atomics, no syscall
-//! // Keyed: wake only the waiters parked on conflict 0x40.
-//! Block::wait_until_keyed(&queue, 0x40, || flag.load(Ordering::Acquire));
-//! Block::wake_key(&queue, 0x40);
+//! assert!(Block::wait(&queue, KEY_ANY, || flag.load(Ordering::Acquire), None));
+//! queue.wake(KEY_ANY); // no waiters: a few atomics, no syscall
+//! // Keyed and timed: only a wake of conflict 0x40 (or a broadcast) would
+//! // stir this waiter, and it gives up once the deadline passes.
+//! let deadline = Some(Instant::now() + Duration::from_millis(10));
+//! assert!(Block::wait(&queue, 0x40, || flag.load(Ordering::Acquire), deadline));
+//! queue.wake(0x40);
 //! ```
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -127,26 +122,32 @@ use crate::backoff::Backoff;
 use crate::parking::{ShardTable, ThreadParker, KEY_ANY};
 use crate::stats::WaitStats;
 
+/// `true` once `deadline` has passed. A `None` deadline never passes and
+/// reads no clock.
+#[inline]
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|deadline| Instant::now() >= deadline)
+}
+
 /// A futex-analogue wait queue owned by a lock instance: an eventcount (for
 /// unkeyed waiters) fused with a sharded address-keyed parking table (for
 /// waiters that know which conflict blocks them).
 ///
-/// Unkeyed waiters park until the queue's generation advances; keyed
-/// waiters ([`WaitQueue::park_until_keyed`]) park in the [`ShardTable`]
-/// under the conflicting node's address and are woken selectively by
-/// [`WaitQueue::wake_key`]. Every release path of the owning lock wakes
-/// through [`WaitPolicy::wake`]/[`WaitPolicy::wake_key`]. The queue also
-/// counts parks, effective wakes, and spurious wakeups so benchmarks can
-/// attribute wait time to blocking vs spinning and measure wake herds; the
-/// counters are mirrored into an attached [`WaitStats`] when the owning
-/// lock has one.
+/// [`WaitQueue::park`] under [`KEY_ANY`] parks until the queue's generation
+/// advances; under a real key it parks in the [`ShardTable`] under the
+/// conflicting node's address and is woken selectively by
+/// [`WaitQueue::wake`] of that key. Every release path of the owning lock
+/// calls [`WaitQueue::wake`]. The queue also counts parks, effective wakes,
+/// and spurious wakeups so benchmarks can attribute wait time to blocking
+/// vs spinning and measure wake herds; the counters are mirrored into an
+/// attached [`WaitStats`] when the owning lock has one.
 pub struct WaitQueue {
     /// Bumped by every wake (keyed or not); unkeyed waiters park only while
     /// it is unchanged.
     generation: AtomicU64,
-    /// Number of threads currently inside [`WaitQueue::park_until`] or
-    /// [`WaitQueue::park_until_deadline`] (the condvar population; keyed
-    /// parkers are tracked by the shard table's occupancy instead).
+    /// Number of threads currently parked under [`KEY_ANY`] (the condvar
+    /// population; keyed parkers are tracked by the shard table's occupancy
+    /// instead).
     waiters: AtomicU64,
     /// Total individual parks (condvar waits and keyed thread parks) since
     /// construction.
@@ -307,84 +308,70 @@ impl WaitQueue {
         self.next_slot.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Registers (or re-registers) `waker` under `slot`, unless the
-    /// generation has advanced past the `gen` snapshot.
+    /// Registers (or re-registers) `waker` under `slot`, filed under `key`,
+    /// unless the generation has advanced past the `gen` snapshot. A real
+    /// key files the waker in the parking table, so only a wake of that key
+    /// (or a [`KEY_ANY`] broadcast) wakes it; [`KEY_ANY`] files it on the
+    /// unkeyed vector, which every wake drains.
     ///
-    /// Returns `false` when a wake slipped in between the caller's snapshot
-    /// and this call; the caller must then re-poll its condition and retry
-    /// with a fresh snapshot — that re-poll is what makes the registration
-    /// lost-wakeup-free (see the module-level argument).
-    pub fn register_waker(&self, slot: u64, gen: u64, waker: &Waker) -> bool {
-        let mut wakers = self.wakers.lock();
+    /// Returns `false`, leaving nothing registered, when a wake slipped in
+    /// between the caller's snapshot and this call; the caller must then
+    /// re-poll its condition and retry with a fresh snapshot — that re-poll
+    /// is what makes the registration lost-wakeup-free (see the
+    /// module-level argument). A future whose blocking conflict *changes*
+    /// between polls must deregister its old key
+    /// ([`WaitQueue::deregister_waker`]) before registering the new one —
+    /// the waker-slot migration path.
+    pub fn register_waker(&self, key: u64, slot: u64, gen: u64, waker: &Waker) -> bool {
         // Publish the registration *before* the generation check: in the
         // sequentially consistent total order, either the releaser's bump
-        // precedes our check (we fail and re-poll) or our count store
-        // precedes the releaser's count load (it drains and wakes us).
-        if let Some((_, w)) = wakers.iter_mut().find(|(id, _)| *id == slot) {
-            w.clone_from(waker);
-        } else {
-            wakers.push((slot, waker.clone()));
-        }
-        self.async_waiters
-            .store(wakers.len() as u64, Ordering::SeqCst);
-        if self.generation.load(Ordering::SeqCst) != gen {
-            wakers.retain(|(id, _)| *id != slot);
+        // precedes our check (we fail and re-poll) or our publication
+        // precedes the releaser's count/occupancy load (it wakes us).
+        let registered = if key == KEY_ANY {
+            let mut wakers = self.wakers.lock();
+            if let Some((_, w)) = wakers.iter_mut().find(|(id, _)| *id == slot) {
+                w.clone_from(waker);
+            } else {
+                wakers.push((slot, waker.clone()));
+            }
             self.async_waiters
                 .store(wakers.len() as u64, Ordering::SeqCst);
-            return false;
+            if self.generation.load(Ordering::SeqCst) != gen {
+                wakers.retain(|(id, _)| *id != slot);
+                self.async_waiters
+                    .store(wakers.len() as u64, Ordering::SeqCst);
+                false
+            } else {
+                true
+            }
+        } else {
+            self.table.register_waker(key, slot, waker);
+            fence(Ordering::SeqCst);
+            if self.generation.load(Ordering::SeqCst) != gen {
+                self.table.deregister_waker(key, slot);
+                false
+            } else {
+                true
+            }
+        };
+        if registered {
+            self.waker_regs.fetch_add(1, Ordering::Relaxed);
+            if let Some(stats) = &self.stats {
+                stats.record_waker_registration();
+            }
         }
-        self.waker_regs.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = &self.stats {
-            stats.record_waker_registration();
-        }
-        true
-    }
-
-    /// Removes `slot`'s waker, if still registered. Called when the owning
-    /// future resolves or is dropped; idempotent.
-    pub fn deregister_waker(&self, slot: u64) {
-        let mut wakers = self.wakers.lock();
-        wakers.retain(|(id, _)| *id != slot);
-        self.async_waiters
-            .store(wakers.len() as u64, Ordering::SeqCst);
-    }
-
-    /// The keyed form of [`WaitQueue::register_waker`]: files the waker in
-    /// the parking table under `key`, so only [`WaitQueue::wake_key`] for
-    /// that key (or a broadcast) wakes it. `KEY_ANY` falls back to the
-    /// unkeyed registration.
-    ///
-    /// Same contract as the unkeyed form: returns `false` (leaving nothing
-    /// registered) when the generation advanced past `gen`, in which case
-    /// the caller re-polls and retries. A future whose blocking conflict
-    /// *changes* between polls must deregister its old key
-    /// ([`WaitQueue::deregister_waker_keyed`]) before registering the new
-    /// one — the waker-slot migration path.
-    pub fn register_waker_keyed(&self, key: u64, slot: u64, gen: u64, waker: &Waker) -> bool {
-        if key == KEY_ANY {
-            return self.register_waker(slot, gen, waker);
-        }
-        // Publish-then-check, exactly like the unkeyed path but against the
-        // shard occupancy (see the module-level keyed protocol).
-        self.table.register_waker(key, slot, waker);
-        fence(Ordering::SeqCst);
-        if self.generation.load(Ordering::SeqCst) != gen {
-            self.table.deregister_waker(key, slot);
-            return false;
-        }
-        self.waker_regs.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = &self.stats {
-            stats.record_waker_registration();
-        }
-        true
+        registered
     }
 
     /// Removes the waker registered for `slot` under `key`, if a wake has
-    /// not already claimed it. Idempotent; `KEY_ANY` falls back to the
-    /// unkeyed deregistration.
-    pub fn deregister_waker_keyed(&self, key: u64, slot: u64) {
+    /// not already claimed it. Called when the owning future resolves,
+    /// migrates to another key, or is dropped; idempotent.
+    pub fn deregister_waker(&self, key: u64, slot: u64) {
         if key == KEY_ANY {
-            self.deregister_waker(slot);
+            let mut wakers = self.wakers.lock();
+            wakers.retain(|(id, _)| *id != slot);
+            self.async_waiters
+                .store(wakers.len() as u64, Ordering::SeqCst);
         } else {
             self.table.deregister_waker(key, slot);
         }
@@ -447,22 +434,50 @@ impl WaitQueue {
         }
     }
 
-    /// Parks the calling thread until `cond` returns `true`.
+    /// Records one wake that found at least one waiter to wake.
+    fn record_wake(&self) {
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        if let Some(stats) = &self.stats {
+            stats.record_wake();
+        }
+    }
+
+    /// Parks the calling thread until `cond` returns `true` or `deadline`
+    /// (if any) passes; returns the final value of `cond`, so a `None`
+    /// deadline always returns `true`.
     ///
+    /// Under a real `key` — the conflict being waited out, typically the
+    /// blocking node's address — the thread parks in the keyed table and
+    /// only a [`WaitQueue::wake`] of `key` or a [`KEY_ANY`] broadcast wakes
+    /// it; `cond` must become observable before that conflict's release
+    /// wakes the key, which every lock's release order (publish state, then
+    /// wake) guarantees. Under [`KEY_ANY`] the thread parks on the
+    /// eventcount condvar and any wake stirs it.
+    ///
+    /// `cond` may have side effects (e.g. a CAS that acquires the lock):
+    /// once it returns `true` it is not called again.
+    pub fn park(&self, key: u64, cond: impl FnMut() -> bool, deadline: Option<Instant>) -> bool {
+        if key == KEY_ANY {
+            self.park_unkeyed(cond, deadline)
+        } else {
+            self.park_keyed(key, cond, deadline)
+        }
+    }
+
+    /// The [`KEY_ANY`] half of [`WaitQueue::park`]: the eventcount wait.
     /// `cond` is re-evaluated under the queue mutex whenever the generation
-    /// advances; it may have side effects (e.g. a CAS that acquires the
-    /// lock) because it runs exactly once per observed generation.
-    pub fn park_until(&self, mut cond: impl FnMut() -> bool) {
+    /// advances.
+    fn park_unkeyed(&self, mut cond: impl FnMut() -> bool, deadline: Option<Instant>) -> bool {
         let mut guard = self.gate.lock();
         // SeqCst pairs with the SeqCst generation bump in the wake paths:
         // either the waker sees our increment, or we see its bump
         // (Dekker-style).
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut woken = false;
-        loop {
+        let satisfied = 'outer: loop {
             let generation = self.generation.load(Ordering::SeqCst);
             if cond() {
-                break;
+                break true;
             }
             if woken {
                 // Woken by a generation bump but the predicate is still
@@ -471,72 +486,40 @@ impl WaitQueue {
                 woken = false;
             }
             while self.generation.load(Ordering::SeqCst) == generation {
-                self.record_park();
-                self.condvar.wait(&mut guard);
-                self.record_woken();
-                woken = true;
-            }
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Parks the calling thread until `cond` returns `true` or `deadline`
-    /// passes; returns the final value of `cond`.
-    ///
-    /// The deadline variant of [`WaitQueue::park_until`], used by the
-    /// timed acquisition API of the `Block` policy when no conflict key is
-    /// known (keyed timed waits go through
-    /// [`WaitQueue::park_until_deadline_keyed`] and stay off the condvar).
-    pub fn park_until_deadline(&self, mut cond: impl FnMut() -> bool, deadline: Instant) -> bool {
-        let mut guard = self.gate.lock();
-        // SeqCst pairs with the SeqCst generation bump in the wake paths,
-        // exactly as in `park_until`.
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut woken = false;
-        let satisfied = loop {
-            let generation = self.generation.load(Ordering::SeqCst);
-            if cond() {
-                break true;
-            }
-            if woken {
-                self.record_spurious();
-                woken = false;
-            }
-            let mut expired = false;
-            while self.generation.load(Ordering::SeqCst) == generation {
-                let now = Instant::now();
-                if now >= deadline {
-                    expired = true;
-                    break;
+                match deadline {
+                    None => {
+                        self.record_park();
+                        self.condvar.wait(&mut guard);
+                    }
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            // One last look: the deadline racing a wake
+                            // must not report failure when the condition in
+                            // fact became true.
+                            break 'outer cond();
+                        }
+                        self.record_park();
+                        self.condvar.wait_for(&mut guard, deadline - now);
+                    }
                 }
-                self.record_park();
-                self.condvar.wait_for(&mut guard, deadline - now);
                 self.record_woken();
                 woken = true;
-            }
-            if expired {
-                // One last look: the deadline racing a wake must not report
-                // failure when the condition in fact became true.
-                break cond();
             }
         };
         self.waiters.fetch_sub(1, Ordering::SeqCst);
         satisfied
     }
 
-    /// Parks the calling thread in the keyed table under `key` until `cond`
-    /// returns `true`; only [`WaitQueue::wake_key`] for `key` or a
-    /// [`WaitQueue::wake_all`] broadcast wakes it. `KEY_ANY` falls back to
-    /// the eventcount park.
-    ///
-    /// The caller keys on the conflict it is waiting out (the blocking
-    /// node's address), and `cond` must become observable before that
-    /// conflict's release wakes the key — which every lock's release order
-    /// (publish state, then wake) guarantees.
-    pub fn park_until_keyed(&self, key: u64, mut cond: impl FnMut() -> bool) {
-        if key == KEY_ANY {
-            return self.park_until(cond);
-        }
+    /// The keyed half of [`WaitQueue::park`]: parks in the shard table
+    /// under `key`, off the condvar, so a wake whose keyed shard is
+    /// provably empty skips the syscall path.
+    fn park_keyed(
+        &self,
+        key: u64,
+        mut cond: impl FnMut() -> bool,
+        deadline: Option<Instant>,
+    ) -> bool {
         let parker = ThreadParker::new();
         loop {
             parker.reset();
@@ -547,53 +530,21 @@ impl WaitQueue {
             fence(Ordering::SeqCst);
             if cond() {
                 self.table.deregister_parker(key, &parker);
-                return;
-            }
-            self.record_park();
-            parker.park();
-            self.record_woken();
-            // The wake that signalled us also claimed (removed) our entry,
-            // so the next round re-registers from scratch.
-            if cond() {
-                return;
-            }
-            self.record_spurious();
-        }
-    }
-
-    /// Parks in the keyed table under `key` until `cond` returns `true` or
-    /// `deadline` passes; returns the final value of `cond`. `KEY_ANY`
-    /// falls back to the condvar deadline park.
-    ///
-    /// Keyed deadline parkers sleep on [`std::thread::park_timeout`] inside
-    /// the shard table — not on the queue condvar — which is what lets
-    /// wakes skip the condvar syscall path when the keyed shard is provably
-    /// empty.
-    pub fn park_until_deadline_keyed(
-        &self,
-        key: u64,
-        mut cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        if key == KEY_ANY {
-            return self.park_until_deadline(cond, deadline);
-        }
-        let parker = ThreadParker::new();
-        loop {
-            parker.reset();
-            self.table.register_parker(key, &parker);
-            fence(Ordering::SeqCst);
-            if cond() {
-                self.table.deregister_parker(key, &parker);
                 return true;
             }
-            if Instant::now() >= deadline {
+            if expired(deadline) {
                 self.table.deregister_parker(key, &parker);
-                // One last look, as in the unkeyed deadline park.
+                // One last look, as in the unkeyed park.
                 return cond();
             }
             self.record_park();
-            let signaled = parker.park_deadline(deadline);
+            let signaled = match deadline {
+                None => {
+                    parker.park();
+                    true
+                }
+                Some(deadline) => parker.park_deadline(deadline),
+            };
             self.record_woken();
             if !signaled {
                 // Expired while registered: withdraw (a racing wake that
@@ -602,6 +553,8 @@ impl WaitQueue {
                 self.table.deregister_parker(key, &parker);
                 return cond();
             }
+            // The wake that signalled us also claimed (removed) our entry,
+            // so the next round re-registers from scratch.
             if cond() {
                 return true;
             }
@@ -609,30 +562,30 @@ impl WaitQueue {
         }
     }
 
-    /// Wakes exactly the waiters (threads and wakers) parked under `key`,
-    /// plus the legacy unkeyed population — a `KEY_ANY` key degrades to
-    /// [`WaitQueue::wake_all`].
+    /// Wakes the waiters (threads and wakers) parked under `key` — every
+    /// keyed waiter when `key` is [`KEY_ANY`] — plus the whole unkeyed
+    /// population.
     ///
     /// Every wake bumps the generation and checks the unkeyed counts, so
-    /// call sites that still park or register unkeyed can never lose a
-    /// wakeup; the win is that *keyed* waiters under other keys stay
-    /// parked. With nobody waiting this is a fetch-add plus a few loads —
+    /// unkeyed parkers and registrations can never lose a wakeup; the win
+    /// of a real key is that keyed waiters under other keys stay parked.
+    /// The [`KEY_ANY`] broadcast serves guard-drop herds, deadlock
+    /// re-derivation, and every release that cannot name the conflict it
+    /// resolved. With nobody waiting this is a fetch-add plus a few loads —
     /// no mutex, no syscall.
-    pub fn wake_key(&self, key: u64) {
-        if key == KEY_ANY {
-            return self.wake_all();
-        }
+    pub fn wake(&self, key: u64) {
         // Bump first so a concurrently registering waiter (parking thread
         // or future, keyed or not) detects the wake even if the occupancy
         // loads below miss its registration.
         self.generation.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        let keyed = self.table.wake_key(key);
+        let keyed = if key == KEY_ANY {
+            self.table.wake_all()
+        } else {
+            self.table.wake_key(key)
+        };
         if keyed > 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
+            self.record_wake();
         }
         self.notify_unkeyed();
         self.drain_wakers();
@@ -654,37 +607,10 @@ impl WaitQueue {
         self.drain_wakers();
     }
 
-    /// Wakes every parked waiter — keyed and unkeyed, threads and wakers —
-    /// so it re-checks its predicate.
-    ///
-    /// When nobody is waiting this is one fetch-add plus a few loads —
-    /// cheap enough for uncontended release paths. This is the broadcast
-    /// fallback: guard-drop herds, deadlock re-derivation, and every
-    /// call site that cannot name the conflict it resolved.
-    pub fn wake_all(&self) {
-        // Bump first so a concurrently registering waiter (parking thread
-        // or future) detects the wake even if the count loads below miss
-        // its registration (see the module-level lost-wakeup argument).
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let keyed = self.table.wake_all();
-        if keyed > 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
-        }
-        self.notify_unkeyed();
-        self.drain_wakers();
-    }
-
     /// Notifies the condvar population (unkeyed parkers), if any.
     fn notify_unkeyed(&self) {
         if self.waiters.load(Ordering::SeqCst) != 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
+            self.record_wake();
             // Taking the gate orders the notification after any waiter that
             // read the old generation has actually parked (or re-checked).
             let _guard = self.gate.lock();
@@ -704,10 +630,7 @@ impl WaitQueue {
             drained
         };
         if !drained.is_empty() {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
+            self.record_wake();
         }
         // Wake outside the mutex: a waker may run arbitrary executor code.
         for (_, waker) in drained {
@@ -739,69 +662,51 @@ impl std::fmt::Debug for WaitQueue {
 /// Implementations are zero-sized strategy types plugged into the locks as a
 /// defaulted type parameter (`ListRangeLock<P: WaitPolicy = SpinThenYield>`
 /// and friends). All three policies live in this module; downstream crates
-/// select one at the type level. Release paths call [`WaitPolicy::wake_key`]
-/// with the address of the conflict they resolved (or
-/// [`WaitPolicy::wake`] when they cannot name one), which only parks/wakes
-/// threads under [`Block`] but always services async wakers.
+/// select one at the type level. The policy only governs *waiting*: release
+/// paths call [`WaitQueue::wake`] directly, whatever the policy, because
+/// async wakers and keyed parkers must be serviced whether or not the
+/// lock's sync waiters spin.
 pub trait WaitPolicy: Send + Sync + Default + Copy + std::fmt::Debug + 'static {
     /// Stable short name used by benchmark reports
     /// (`"spin"` / `"spin-yield"` / `"block"`).
     const NAME: &'static str;
 
-    /// Whether waiters of this policy may park (deschedule) themselves.
-    const BLOCKS: bool;
-
-    /// Returns once `cond` yields `true`. `queue` is the owning lock's wake
-    /// channel; spinning policies ignore it.
-    fn wait_until(queue: &WaitQueue, cond: impl FnMut() -> bool);
-
-    /// Returns `true` once `cond` yields `true`, or `false` when `deadline`
-    /// passes first. Backs the timed acquisition API (`acquire_timeout` and
-    /// friends): under [`Block`] the waiter deadline-parks on the queue, the
-    /// spinning policies poll the clock between backoff steps.
-    fn wait_until_deadline(
-        queue: &WaitQueue,
-        cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool;
-
-    /// [`WaitPolicy::wait_until`], but parked under `key` — the address of
-    /// the conflict being waited out — so the blocker's release wakes this
-    /// waiter selectively instead of herding the whole queue. Spinning
-    /// policies ignore the key (they never park); [`Block`] parks in the
-    /// queue's keyed table.
-    fn wait_until_keyed(queue: &WaitQueue, key: u64, cond: impl FnMut() -> bool) {
-        let _ = key;
-        Self::wait_until(queue, cond);
-    }
-
-    /// [`WaitPolicy::wait_until_deadline`], parked under `key` as in
-    /// [`WaitPolicy::wait_until_keyed`].
-    fn wait_until_deadline_keyed(
+    /// Waits until `cond` yields `true` (returning `true`) or `deadline`, if
+    /// any, passes first (returning `false`). `queue` is the owning lock's
+    /// wake channel and `key` the conflict being waited out ([`KEY_ANY`]
+    /// when the waiter cannot name one): spinning policies ignore both,
+    /// [`Block`] parks on the queue under `key` so the blocker's release
+    /// wakes this waiter selectively. A `None` deadline reads no clock.
+    fn wait(
         queue: &WaitQueue,
         key: u64,
         cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        let _ = key;
-        Self::wait_until_deadline(queue, cond, deadline)
-    }
+        deadline: Option<Instant>,
+    ) -> bool;
+}
 
-    /// Called by the owning lock's release paths after the state change that
-    /// `cond` observes has been published.
-    ///
-    /// Every policy calls [`WaitQueue::wake_all`]: the spinning policies'
-    /// sync waiters poll on their own, but async waiters (registered
-    /// wakers) and deadline parkers must be woken whatever the policy.
-    fn wake(queue: &WaitQueue);
-
-    /// The selective form of [`WaitPolicy::wake`]: wakes the waiters parked
-    /// under `key` (and the legacy unkeyed population), leaving keyed
-    /// waiters of other conflicts parked. Identical under every policy —
-    /// async wakers and keyed parkers must be serviced whether or not the
-    /// lock's sync waiters spin.
-    fn wake_key(queue: &WaitQueue, key: u64) {
-        queue.wake_key(key);
+/// The backoff loop every policy shares: polls `cond`, checking `deadline`
+/// (if any) between polls, and advances the backoff through `step` until
+/// `step` returns `false`. Returns `Some(true)` once `cond` holds,
+/// `Some(false)` once the deadline passes, and `None` when `step` ended the
+/// loop first.
+#[inline]
+fn backoff_wait(
+    cond: &mut impl FnMut() -> bool,
+    deadline: Option<Instant>,
+    mut step: impl FnMut(&Backoff) -> bool,
+) -> Option<bool> {
+    let backoff = Backoff::new();
+    loop {
+        if cond() {
+            return Some(true);
+        }
+        if expired(deadline) {
+            return Some(false);
+        }
+        if !step(&backoff) {
+            return None;
+        }
     }
 }
 
@@ -811,78 +716,42 @@ pub struct Spin;
 
 impl WaitPolicy for Spin {
     const NAME: &'static str = "spin";
-    const BLOCKS: bool = false;
 
     #[inline]
-    fn wait_until(_queue: &WaitQueue, mut cond: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !cond() {
-            backoff.spin();
-        }
-    }
-
-    #[inline]
-    fn wait_until_deadline(
+    fn wait(
         _queue: &WaitQueue,
+        _key: u64,
         mut cond: impl FnMut() -> bool,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> bool {
-        let backoff = Backoff::new();
-        loop {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
+        let spin = |backoff: &Backoff| {
             backoff.spin();
-        }
-    }
-
-    #[inline]
-    fn wake(queue: &WaitQueue) {
-        queue.wake_all();
+            true
+        };
+        backoff_wait(&mut cond, deadline, spin) == Some(true)
     }
 }
 
 /// Busy-wait briefly, then interleave [`std::thread::yield_now`] between
-/// polls (the pre-refactor behaviour of every lock in the workspace).
+/// polls.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpinThenYield;
 
 impl WaitPolicy for SpinThenYield {
     const NAME: &'static str = "spin-yield";
-    const BLOCKS: bool = false;
 
     #[inline]
-    fn wait_until(_queue: &WaitQueue, mut cond: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !cond() {
-            backoff.snooze();
-        }
-    }
-
-    #[inline]
-    fn wait_until_deadline(
+    fn wait(
         _queue: &WaitQueue,
+        _key: u64,
         mut cond: impl FnMut() -> bool,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> bool {
-        let backoff = Backoff::new();
-        loop {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
+        let snooze = |backoff: &Backoff| {
             backoff.snooze();
-        }
-    }
-
-    #[inline]
-    fn wake(queue: &WaitQueue) {
-        queue.wake_all();
+            true
+        };
+        backoff_wait(&mut cond, deadline, snooze) == Some(true)
     }
 }
 
@@ -895,77 +764,24 @@ pub struct Block;
 
 impl WaitPolicy for Block {
     const NAME: &'static str = "block";
-    const BLOCKS: bool = true;
 
     #[inline]
-    fn wait_until(queue: &WaitQueue, mut cond: impl FnMut() -> bool) {
-        // Optimistic phase: the holder usually releases within the backoff
-        // ramp, in which case we never touch the queue.
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return;
-            }
-            backoff.snooze();
-        }
-        queue.park_until(cond);
-    }
-
-    #[inline]
-    fn wait_until_deadline(
-        queue: &WaitQueue,
-        mut cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        // Optimistic phase, bounded by the deadline.
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff.snooze();
-        }
-        queue.park_until_deadline(cond, deadline)
-    }
-
-    #[inline]
-    fn wait_until_keyed(queue: &WaitQueue, key: u64, mut cond: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return;
-            }
-            backoff.snooze();
-        }
-        queue.park_until_keyed(key, cond);
-    }
-
-    #[inline]
-    fn wait_until_deadline_keyed(
+    fn wait(
         queue: &WaitQueue,
         key: u64,
         mut cond: impl FnMut() -> bool,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> bool {
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
+        // Optimistic phase: the holder usually releases within the backoff
+        // ramp, in which case we never touch the queue.
+        let ramp = |backoff: &Backoff| {
             backoff.snooze();
+            !backoff.is_completed()
+        };
+        match backoff_wait(&mut cond, deadline, ramp) {
+            Some(done) => done,
+            None => queue.park(key, cond, deadline),
         }
-        queue.park_until_deadline_keyed(key, cond, deadline)
-    }
-
-    #[inline]
-    fn wake(queue: &WaitQueue) {
-        queue.wake_all();
     }
 }
 
@@ -1013,10 +829,10 @@ mod tests {
     #[test]
     fn satisfied_condition_returns_immediately() {
         let queue = WaitQueue::new();
-        Spin::wait_until(&queue, || true);
-        SpinThenYield::wait_until(&queue, || true);
-        Block::wait_until(&queue, || true);
-        Block::wait_until_keyed(&queue, 0x40, || true);
+        Spin::wait(&queue, KEY_ANY, || true, None);
+        SpinThenYield::wait(&queue, KEY_ANY, || true, None);
+        Block::wait(&queue, KEY_ANY, || true, None);
+        Block::wait(&queue, 0x40, || true, None);
         assert_eq!(queue.parks(), 0);
         assert_eq!(queue.keyed_waiters(), 0);
     }
@@ -1029,7 +845,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                Block::wait_until(&queue, || flag.load(Ordering::Acquire));
+                Block::wait(&queue, KEY_ANY, || flag.load(Ordering::Acquire), None);
             })
         };
         // Give the waiter long enough to exhaust the backoff ramp and park
@@ -1038,7 +854,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        Block::wake(&queue);
+        queue.wake(KEY_ANY);
         waiter.join().unwrap();
         assert!(queue.parks() >= 1);
         assert_eq!(queue.wakes(), 1);
@@ -1048,8 +864,8 @@ mod tests {
     fn wake_with_no_waiters_is_quiet() {
         let queue = WaitQueue::new();
         for _ in 0..100 {
-            Block::wake(&queue);
-            Block::wake_key(&queue, 0x40);
+            queue.wake(KEY_ANY);
+            queue.wake(0x40);
         }
         assert_eq!(queue.wakes(), 0);
     }
@@ -1066,13 +882,13 @@ mod tests {
             let turn = Arc::clone(&turn);
             std::thread::spawn(move || {
                 for i in 0..ITERS as u64 {
-                    Block::wait_until(&queue, || turn.load(Ordering::Acquire) > i);
+                    Block::wait(&queue, KEY_ANY, || turn.load(Ordering::Acquire) > i, None);
                 }
             })
         };
         for i in 0..ITERS as u64 {
             turn.store(i + 1, Ordering::Release);
-            Block::wake(&queue);
+            queue.wake(KEY_ANY);
             // Vary the interleaving so some rounds race the park itself.
             if i % 7 == 0 {
                 std::thread::yield_now();
@@ -1083,7 +899,7 @@ mod tests {
 
     #[test]
     fn no_lost_wakeup_under_rapid_keyed_handoff() {
-        // The keyed analogue: registration racing wake_key on the same key
+        // The keyed analogue: registration racing a keyed wake on the same key
         // must never strand the waiter.
         const ITERS: usize = 2_000;
         const KEY: u64 = 0xA40;
@@ -1094,13 +910,13 @@ mod tests {
             let turn = Arc::clone(&turn);
             std::thread::spawn(move || {
                 for i in 0..ITERS as u64 {
-                    Block::wait_until_keyed(&queue, KEY, || turn.load(Ordering::Acquire) > i);
+                    Block::wait(&queue, KEY, || turn.load(Ordering::Acquire) > i, None);
                 }
             })
         };
         for i in 0..ITERS as u64 {
             turn.store(i + 1, Ordering::Release);
-            Block::wake_key(&queue, KEY);
+            queue.wake(KEY);
             if i % 7 == 0 {
                 std::thread::yield_now();
             }
@@ -1118,7 +934,7 @@ mod tests {
             let flag = Arc::clone(&flag);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                queue.park_until_keyed(0x40, || flag.load(Ordering::Acquire));
+                queue.park(0x40, || flag.load(Ordering::Acquire), None);
                 done.store(true, Ordering::Release);
             })
         };
@@ -1127,13 +943,13 @@ mod tests {
         }
         // A wake for an unrelated key must leave the waiter parked (its
         // entry stays in the table) and cost no spurious wakeup.
-        queue.wake_key(0x80);
+        queue.wake(0x80);
         std::thread::sleep(Duration::from_millis(5));
         assert!(!done.load(Ordering::Acquire));
         assert_eq!(queue.keyed_waiters(), 1);
         assert_eq!(queue.spurious_wakeups(), 0);
         flag.store(true, Ordering::Release);
-        queue.wake_key(0x40);
+        queue.wake(0x40);
         waiter.join().unwrap();
         assert!(done.load(Ordering::Acquire));
         assert_eq!(queue.keyed_waiters(), 0);
@@ -1148,7 +964,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                queue.park_until_keyed(0x40, || flag.load(Ordering::Acquire));
+                queue.park(0x40, || flag.load(Ordering::Acquire), None);
             })
         };
         while queue.keyed_waiters() == 0 {
@@ -1156,7 +972,7 @@ mod tests {
         }
         // A broadcast herds the keyed parker awake with its predicate still
         // false — one spurious wakeup, then it re-parks.
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         while queue.spurious_wakeups() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1164,7 +980,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         waiter.join().unwrap();
         assert!(queue.spurious_wakeups() >= 1);
     }
@@ -1177,7 +993,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                queue.park_until(|| flag.load(Ordering::Acquire));
+                queue.park(KEY_ANY, || flag.load(Ordering::Acquire), None);
             })
         };
         while queue.parks() == 0 {
@@ -1185,12 +1001,12 @@ mod tests {
         }
         // Wake without satisfying the predicate: the waiter re-parks and
         // the herd counter ticks.
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         while queue.spurious_wakeups() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         waiter.join().unwrap();
         assert!(queue.spurious_wakeups() >= 1);
     }
@@ -1206,19 +1022,19 @@ mod tests {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                queue.park_until(|| flag.load(Ordering::Acquire));
+                queue.park(KEY_ANY, || flag.load(Ordering::Acquire), None);
             })
         };
         while queue.parks() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         // Herd it once so the spurious counter mirrors too.
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         while queue.spurious_wakeups() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         waiter.join().unwrap();
         let snap = stats.snapshot();
         assert!(snap.parks >= 1);
@@ -1234,14 +1050,6 @@ mod tests {
         }
         assert_eq!(WaitPolicyKind::parse("nope"), None);
         assert_eq!(WaitPolicyKind::Block.name(), "block");
-        // Exercised through a function so the values are not compile-time
-        // constants to the test body.
-        fn blocks<P: WaitPolicy>() -> bool {
-            P::BLOCKS
-        }
-        assert!(blocks::<Block>());
-        assert!(!blocks::<Spin>());
-        assert!(!blocks::<SpinThenYield>());
     }
 
     #[test]
@@ -1275,12 +1083,12 @@ mod tests {
             let (count, waker) = counting_waker();
             let slot = queue.alloc_waker_slot();
             let gen = queue.generation();
-            assert!(queue.register_waker(slot, gen, &waker));
+            assert!(queue.register_waker(KEY_ANY, slot, gen, &waker));
             assert_eq!(queue.waker_registrations(), 1);
-            queue.wake_all();
+            queue.wake(KEY_ANY);
             assert_eq!(count.0.load(Ordering::SeqCst), 1);
             // The drain removed the registration: waking again is a no-op.
-            queue.wake_all();
+            queue.wake(KEY_ANY);
             assert_eq!(count.0.load(Ordering::SeqCst), 1);
         }
     }
@@ -1291,10 +1099,10 @@ mod tests {
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
         let gen = queue.generation();
-        queue.wake_all(); // a wake slips in between snapshot and register
-        assert!(!queue.register_waker(slot, gen, &waker));
+        queue.wake(KEY_ANY); // a wake slips in between snapshot and register
+        assert!(!queue.register_waker(KEY_ANY, slot, gen, &waker));
         // The refused registration left nothing behind.
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
         assert_eq!(queue.waker_registrations(), 0);
     }
@@ -1304,20 +1112,20 @@ mod tests {
         let queue = WaitQueue::new();
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
-        assert!(queue.register_waker_keyed(0x40, slot, queue.generation(), &waker));
+        assert!(queue.register_waker(0x40, slot, queue.generation(), &waker));
         assert_eq!(queue.waker_registrations(), 1);
         // A wake for a different key leaves the keyed waker registered.
-        queue.wake_key(0x80);
+        queue.wake(0x80);
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
         assert_eq!(queue.keyed_waiters(), 1);
         // Its own key wakes (and claims) it.
-        queue.wake_key(0x40);
+        queue.wake(0x40);
         assert_eq!(count.0.load(Ordering::SeqCst), 1);
         assert_eq!(queue.keyed_waiters(), 0);
         // Re-register, then a broadcast claims it too.
         let (count2, waker2) = counting_waker();
-        assert!(queue.register_waker_keyed(0x40, slot, queue.generation(), &waker2));
-        queue.wake_all();
+        assert!(queue.register_waker(0x40, slot, queue.generation(), &waker2));
+        queue.wake(KEY_ANY);
         assert_eq!(count2.0.load(Ordering::SeqCst), 1);
         assert_eq!(queue.keyed_waiters(), 0);
     }
@@ -1328,17 +1136,17 @@ mod tests {
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
         let gen = queue.generation();
-        queue.wake_key(0x80); // unrelated key, but every wake bumps the generation
-        assert!(!queue.register_waker_keyed(0x40, slot, gen, &waker));
+        queue.wake(0x80); // unrelated key, but every wake bumps the generation
+        assert!(!queue.register_waker(0x40, slot, gen, &waker));
         assert_eq!(queue.keyed_waiters(), 0);
         // Migration: register under one conflict, move to another (as a
         // future does when re-polling finds a different blocker).
-        assert!(queue.register_waker_keyed(0x40, slot, queue.generation(), &waker));
-        queue.deregister_waker_keyed(0x40, slot);
-        assert!(queue.register_waker_keyed(0x80, slot, queue.generation(), &waker));
-        queue.wake_key(0x40);
+        assert!(queue.register_waker(0x40, slot, queue.generation(), &waker));
+        queue.deregister_waker(0x40, slot);
+        assert!(queue.register_waker(0x80, slot, queue.generation(), &waker));
+        queue.wake(0x40);
         assert_eq!(count.0.load(Ordering::SeqCst), 0, "old key must be empty");
-        queue.wake_key(0x80);
+        queue.wake(0x80);
         assert_eq!(count.0.load(Ordering::SeqCst), 1);
     }
 
@@ -1348,12 +1156,12 @@ mod tests {
         let (count_a, waker_a) = counting_waker();
         let (count_b, waker_b) = counting_waker();
         let slot = queue.alloc_waker_slot();
-        assert!(queue.register_waker(slot, queue.generation(), &waker_a));
+        assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker_a));
         // Re-registering the same slot replaces the waker (one slot, one
         // pending acquisition).
-        assert!(queue.register_waker(slot, queue.generation(), &waker_b));
-        queue.deregister_waker(slot);
-        queue.wake_all();
+        assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker_b));
+        queue.deregister_waker(KEY_ANY, slot);
+        queue.wake(KEY_ANY);
         assert_eq!(count_a.0.load(Ordering::SeqCst), 0);
         assert_eq!(count_b.0.load(Ordering::SeqCst), 0);
 
@@ -1378,34 +1186,35 @@ mod tests {
 
     #[test]
     fn spinning_wakes_deliver_to_wakers() {
-        // The whole point of re-pointing the spin policies' wake at
-        // `wake_all`: a future waiting on a spin-policy lock must still be
-        // woken by its release hook.
-        for kind in [WaitPolicyKind::Spin, WaitPolicyKind::SpinThenYield] {
-            let queue = WaitQueue::new();
+        // A future waiting on a spin-policy lock must still be woken by its
+        // release hook: releases wake the queue whatever the policy.
+        fn hook<P: WaitPolicy>() {
+            let sem = crate::RwSemaphore::<P>::with_policy();
+            let guard = sem.write();
+            let queue = sem.wait_queue();
             let (count, waker) = counting_waker();
             let slot = queue.alloc_waker_slot();
-            assert!(queue.register_waker(slot, queue.generation(), &waker));
-            match kind {
-                WaitPolicyKind::Spin => Spin::wake(&queue),
-                WaitPolicyKind::SpinThenYield => SpinThenYield::wake(&queue),
-                WaitPolicyKind::Block => unreachable!(),
-            }
-            assert_eq!(count.0.load(Ordering::SeqCst), 1, "{}", kind.name());
+            assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker));
+            drop(guard);
+            assert_eq!(count.0.load(Ordering::SeqCst), 1, "{}", P::NAME);
         }
+        hook::<Spin>();
+        hook::<SpinThenYield>();
     }
 
     #[test]
     fn keyed_wakes_deliver_to_unkeyed_wakers_under_every_policy() {
         // The compatibility contract: a keyed wake still services the
-        // legacy unkeyed population, so unconverted call sites never lose
-        // wakeups.
+        // unkeyed population. A semaphore read release wakes only the
+        // writer class key, and must still reach an unkeyed waker.
         fn hook<P: WaitPolicy>() {
-            let queue = WaitQueue::new();
+            let sem = crate::RwSemaphore::<P>::with_policy();
+            let guard = sem.read();
+            let queue = sem.wait_queue();
             let (count, waker) = counting_waker();
             let slot = queue.alloc_waker_slot();
-            assert!(queue.register_waker(slot, queue.generation(), &waker));
-            P::wake_key(&queue, 0x40);
+            assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker));
+            drop(guard);
             assert_eq!(count.0.load(Ordering::SeqCst), 1, "{}", P::NAME);
         }
         hook::<Spin>();
@@ -1414,21 +1223,30 @@ mod tests {
     }
 
     #[test]
-    fn deadline_park_times_out_and_reports_late_success() {
-        let queue = WaitQueue::new();
-        // Condition never satisfied: the deadline must fire.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(!queue.park_until_deadline(|| false, deadline));
-        // Condition already satisfied: immediate success, no park.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(queue.park_until_deadline(|| true, deadline));
-        // The keyed variant honours the deadline and leaves no residue.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(!queue.park_until_deadline_keyed(0x40, || false, deadline));
-        assert_eq!(queue.keyed_waiters(), 0);
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(queue.park_until_deadline_keyed(0x40, || true, deadline));
-        assert_eq!(queue.keyed_waiters(), 0);
+    fn every_policy_key_and_deadline_combination_honors_the_wait_contract() {
+        // One table over policy × key × deadline, through both entry points
+        // (`P::wait` and `WaitQueue::park`): a satisfied condition returns
+        // `true`, an unsatisfiable one returns `false` once the deadline
+        // passes, and no case leaves a keyed entry behind.
+        fn check<P: WaitPolicy>() {
+            for key in [KEY_ANY, 0x40] {
+                for timed in [false, true] {
+                    let queue = WaitQueue::new();
+                    let deadline = || timed.then(|| Instant::now() + Duration::from_millis(5));
+                    let case = format!("{} key={key:#x} timed={timed}", P::NAME);
+                    assert!(P::wait(&queue, key, || true, deadline()), "{case}");
+                    assert!(queue.park(key, || true, deadline()), "{case}");
+                    if timed {
+                        assert!(!P::wait(&queue, key, || false, deadline()), "{case}");
+                        assert!(!queue.park(key, || false, deadline()), "{case}");
+                    }
+                    assert_eq!(queue.keyed_waiters(), 0, "{case}");
+                }
+            }
+        }
+        check::<Spin>();
+        check::<SpinThenYield>();
+        check::<Block>();
     }
 
     #[test]
@@ -1440,14 +1258,14 @@ mod tests {
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(60);
-                queue.park_until_deadline(|| flag.load(Ordering::Acquire), deadline)
+                queue.park(KEY_ANY, || flag.load(Ordering::Acquire), Some(deadline))
             })
         };
         while queue.parks() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         // Must return well before the 60s deadline, reporting success.
         assert!(waiter.join().unwrap());
     }
@@ -1461,43 +1279,17 @@ mod tests {
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(60);
-                queue.park_until_deadline_keyed(0x40, || flag.load(Ordering::Acquire), deadline)
+                queue.park(0x40, || flag.load(Ordering::Acquire), Some(deadline))
             })
         };
         while queue.keyed_waiters() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        queue.wake_key(0x40);
+        queue.wake(0x40);
         assert!(waiter.join().unwrap());
         // The keyed deadline parker never sat on the condvar, so the wake
         // above should not have had to notify it: no unkeyed waiters ever.
         assert_eq!(queue.keyed_waiters(), 0);
-    }
-
-    #[test]
-    fn every_policy_honors_wait_until_deadline() {
-        fn expired<P: WaitPolicy>() {
-            let queue = WaitQueue::new();
-            let deadline = Instant::now() + Duration::from_millis(5);
-            assert!(!P::wait_until_deadline(&queue, || false, deadline));
-            assert!(P::wait_until_deadline(&queue, || true, deadline));
-            let deadline = Instant::now() + Duration::from_millis(5);
-            assert!(!P::wait_until_deadline_keyed(
-                &queue,
-                0x40,
-                || false,
-                deadline
-            ));
-            assert!(P::wait_until_deadline_keyed(
-                &queue,
-                0x40,
-                || true,
-                deadline
-            ));
-        }
-        expired::<Spin>();
-        expired::<SpinThenYield>();
-        expired::<Block>();
     }
 }

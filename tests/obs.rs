@@ -251,10 +251,10 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
 
     // SpuriousWake: a keyed parker herded by an unkeyed broadcast while its
     // predicate is still false — the legacy eventcount cost that per-key
-    // wakes avoid, provoked here directly on a [`WaitQueue`]. The wake_all
+    // wakes avoid, provoked here directly on a [`WaitQueue`]. The broadcast
     // loop retries until the parker has genuinely parked and re-checked.
     {
-        use range_locks_repro::rl_sync::WaitQueue;
+        use range_locks_repro::rl_sync::{WaitQueue, KEY_ANY};
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let queue = Arc::new(WaitQueue::new());
@@ -262,16 +262,14 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
         let parker = {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                queue.park_until_keyed(0x5157, || flag.load(Ordering::Acquire))
-            })
+            std::thread::spawn(move || queue.park(0x5157, || flag.load(Ordering::Acquire), None))
         };
         while queue.spurious_wakeups() == 0 {
-            queue.wake_all();
+            queue.wake(KEY_ANY);
             std::thread::sleep(Duration::from_millis(1));
         }
         flag.store(true, Ordering::Release);
-        queue.wake_all();
+        queue.wake(KEY_ANY);
         parker.join().unwrap();
     }
 

@@ -233,8 +233,11 @@ fn keyed_wakes_stay_exact_across_shard_collisions() {
             let flags = Arc::clone(&flags);
             parkers.push(std::thread::spawn(move || {
                 // Keys spread across (and colliding within) the 8 shards.
-                queue
-                    .park_until_keyed(0x1000 + k * 7, || flags[k as usize].load(Ordering::Acquire));
+                queue.park(
+                    0x1000 + k * 7,
+                    || flags[k as usize].load(Ordering::Acquire),
+                    None,
+                );
             }));
         }
         // Wake one key at a time, flag first (the publish-then-check
@@ -242,7 +245,7 @@ fn keyed_wakes_stay_exact_across_shard_collisions() {
         // sees its flag before sleeping).
         for k in 0..KEYS {
             flags[k as usize].store(true, Ordering::Release);
-            queue.wake_key(0x1000 + k * 7);
+            queue.wake(0x1000 + k * 7);
         }
         for p in parkers {
             p.join().unwrap();
