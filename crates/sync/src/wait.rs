@@ -1223,30 +1223,22 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_key_and_deadline_combination_honors_the_wait_contract() {
-        // One table over policy × key × deadline, through both entry points
-        // (`P::wait` and `WaitQueue::park`): a satisfied condition returns
-        // `true`, an unsatisfiable one returns `false` once the deadline
-        // passes, and no case leaves a keyed entry behind.
-        fn check<P: WaitPolicy>() {
-            for key in [KEY_ANY, 0x40] {
-                for timed in [false, true] {
-                    let queue = WaitQueue::new();
-                    let deadline = || timed.then(|| Instant::now() + Duration::from_millis(5));
-                    let case = format!("{} key={key:#x} timed={timed}", P::NAME);
-                    assert!(P::wait(&queue, key, || true, deadline()), "{case}");
-                    assert!(queue.park(key, || true, deadline()), "{case}");
-                    if timed {
-                        assert!(!P::wait(&queue, key, || false, deadline()), "{case}");
-                        assert!(!queue.park(key, || false, deadline()), "{case}");
-                    }
-                    assert_eq!(queue.keyed_waiters(), 0, "{case}");
+    fn deadline_park_times_out_and_reports_late_success() {
+        // `WaitQueue::park` over key × deadline: a satisfied condition
+        // returns `true` at once, an unsatisfiable one returns `false` once
+        // the deadline passes, and no case leaves a keyed entry behind.
+        for key in [KEY_ANY, 0x40] {
+            for timed in [false, true] {
+                let queue = WaitQueue::new();
+                let deadline = || timed.then(|| Instant::now() + Duration::from_millis(10));
+                let case = format!("key={key:#x} timed={timed}");
+                assert!(queue.park(key, || true, deadline()), "{case}");
+                if timed {
+                    assert!(!queue.park(key, || false, deadline()), "{case}");
                 }
+                assert_eq!(queue.keyed_waiters(), 0, "{case}");
             }
         }
-        check::<Spin>();
-        check::<SpinThenYield>();
-        check::<Block>();
     }
 
     #[test]
@@ -1291,5 +1283,28 @@ mod tests {
         // The keyed deadline parker never sat on the condvar, so the wake
         // above should not have had to notify it: no unkeyed waiters ever.
         assert_eq!(queue.keyed_waiters(), 0);
+    }
+
+    #[test]
+    fn every_policy_honors_wait_until_deadline() {
+        // `P::wait` over policy × key × deadline, with the same contract as
+        // `WaitQueue::park`.
+        fn check<P: WaitPolicy>() {
+            for key in [KEY_ANY, 0x40] {
+                for timed in [false, true] {
+                    let queue = WaitQueue::new();
+                    let deadline = || timed.then(|| Instant::now() + Duration::from_millis(5));
+                    let case = format!("{} key={key:#x} timed={timed}", P::NAME);
+                    assert!(P::wait(&queue, key, || true, deadline()), "{case}");
+                    if timed {
+                        assert!(!P::wait(&queue, key, || false, deadline()), "{case}");
+                    }
+                    assert_eq!(queue.keyed_waiters(), 0, "{case}");
+                }
+            }
+        }
+        check::<Spin>();
+        check::<SpinThenYield>();
+        check::<Block>();
     }
 }
