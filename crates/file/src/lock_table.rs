@@ -689,13 +689,15 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     }
 
     /// Blocking, deadlock-checked tile acquisition: drives the underlying
-    /// lock's two-phase protocol, and between polls (re-)derives this
-    /// owner's waits-for edges from the committed table. An edge set that
-    /// closes a cycle cancels the pending acquisition and fails with
-    /// `EDEADLK`; otherwise the waiter waits, keyed on the conflict its
-    /// poll observed, until the queue generation moves (any release or
-    /// commit) or [`DEADLOCK_RECHECK`] passes, so a cycle committed behind
-    /// this waiter's back is still noticed.
+    /// lock's two-phase protocol. After its first failed poll, and then
+    /// once every [`DEADLOCK_RECHECK`], the waiter (re-)derives its
+    /// waits-for edges from the committed table, so a cycle committed
+    /// behind its back is still noticed; an edge set that closes a cycle
+    /// cancels the pending acquisition and fails with `EDEADLK`. Between
+    /// derivations it waits, keyed on the conflict its poll observed, until
+    /// the queue generation moves (any release or commit) and then re-polls.
+    /// A wake therefore costs one poll, not a pass over the table mutex and
+    /// the waits-for graph that the lock holder's own commits need.
     fn acquire_tile_checked(
         &self,
         owner_id: u64,
@@ -710,6 +712,9 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             ) => {{
                 let queue = lock.wait_queue();
                 let mut pending = lock.$enqueue(range);
+                // When this waiter next re-derives its waits-for edges; `None`
+                // until the first failed poll derives them.
+                let mut recheck: Option<Instant> = None;
                 loop {
                     // Snapshot before polling, as `timeout_loop` does: a
                     // release between the poll and the wait moves the
@@ -725,23 +730,30 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                             guard: ModeGuard::$variant(g),
                         });
                     }
-                    let holders = self.conflicting_owner_ids(owner_id, range, mode);
-                    if let Err(cycle) = self.waits.register(owner_id, &holders) {
-                        lock.$cancel(&mut pending);
-                        queue.record_cancel();
-                        queue.record_deadlock();
-                        rl_obs::trace::emit(
-                            rl_obs::EventKind::DeadlockDetected,
-                            queue.trace_id(),
-                            self.owner_actor(owner_id),
-                            range.start,
-                            range.end,
-                        );
-                        return Err(self.deadlock_error(cycle.cycle()));
-                    }
+                    let at = match recheck {
+                        Some(at) if Instant::now() < at => at,
+                        _ => {
+                            let holders = self.conflicting_owner_ids(owner_id, range, mode);
+                            if let Err(cycle) = self.waits.register(owner_id, &holders) {
+                                lock.$cancel(&mut pending);
+                                queue.record_cancel();
+                                queue.record_deadlock();
+                                rl_obs::trace::emit(
+                                    rl_obs::EventKind::DeadlockDetected,
+                                    queue.trace_id(),
+                                    self.owner_actor(owner_id),
+                                    range.start,
+                                    range.end,
+                                );
+                                return Err(self.deadlock_error(cycle.cycle()));
+                            }
+                            let at = Instant::now() + DEADLOCK_RECHECK;
+                            recheck = Some(at);
+                            at
+                        }
+                    };
                     let key = lock.$wait_key(&pending);
-                    let deadline = Instant::now() + DEADLOCK_RECHECK;
-                    lock.wait_deadline_keyed(key, &mut || queue.generation() != gen, deadline);
+                    lock.wait_deadline_keyed(key, &mut || queue.generation() != gen, at);
                 }
             }};
         }

@@ -1226,15 +1226,19 @@ mod tests {
     fn deadline_park_times_out_and_reports_late_success() {
         // `WaitQueue::park` over key × deadline: a satisfied condition
         // returns `true` at once, an unsatisfiable one returns `false` once
-        // the deadline passes, and no case leaves a keyed entry behind.
+        // the deadline passes, a satisfied condition still wins over that
+        // now-expired deadline (the condition is checked first), and no
+        // case leaves a keyed entry behind.
         for key in [KEY_ANY, 0x40] {
             for timed in [false, true] {
                 let queue = WaitQueue::new();
-                let deadline = || timed.then(|| Instant::now() + Duration::from_millis(10));
+                let deadline = timed.then(|| Instant::now() + Duration::from_millis(10));
                 let case = format!("key={key:#x} timed={timed}");
-                assert!(queue.park(key, || true, deadline()), "{case}");
-                if timed {
-                    assert!(!queue.park(key, || false, deadline()), "{case}");
+                assert!(queue.park(key, || true, deadline), "{case}");
+                if let Some(at) = deadline {
+                    assert!(!queue.park(key, || false, deadline), "{case}");
+                    assert!(Instant::now() >= at, "{case}");
+                    assert!(queue.park(key, || true, deadline), "{case} expired");
                 }
                 assert_eq!(queue.keyed_waiters(), 0, "{case}");
             }
@@ -1288,16 +1292,19 @@ mod tests {
     #[test]
     fn every_policy_honors_wait_until_deadline() {
         // `P::wait` over policy × key × deadline, with the same contract as
-        // `WaitQueue::park`.
+        // `WaitQueue::park`, including a satisfied condition winning over
+        // an already-expired deadline.
         fn check<P: WaitPolicy>() {
             for key in [KEY_ANY, 0x40] {
                 for timed in [false, true] {
                     let queue = WaitQueue::new();
-                    let deadline = || timed.then(|| Instant::now() + Duration::from_millis(5));
+                    let deadline = timed.then(|| Instant::now() + Duration::from_millis(5));
                     let case = format!("{} key={key:#x} timed={timed}", P::NAME);
-                    assert!(P::wait(&queue, key, || true, deadline()), "{case}");
-                    if timed {
-                        assert!(!P::wait(&queue, key, || false, deadline()), "{case}");
+                    assert!(P::wait(&queue, key, || true, deadline), "{case}");
+                    if let Some(at) = deadline {
+                        assert!(!P::wait(&queue, key, || false, deadline), "{case}");
+                        assert!(Instant::now() >= at, "{case}");
+                        assert!(P::wait(&queue, key, || true, deadline), "{case} expired");
                     }
                     assert_eq!(queue.keyed_waiters(), 0, "{case}");
                 }
